@@ -114,10 +114,17 @@ void BM_RegionCreateRemove(benchmark::State& state) {
 BENCHMARK(BM_RegionCreateRemove);
 
 void BM_RegionCacheReuse(benchmark::State& state) {
-  // Region hiding's fast path: enqueue + dequeue a cached region.
+  // Region hiding's fast path: enqueue + dequeue a cached region, with
+  // range(0) hidden regions of another length already cached, so the rows
+  // show how the cost grows with the number of regions a process has hidden.
   Vm vm(4096, kPage);
   AddressSpace as(vm, "app");
   Region* region = as.CreateRegion(kBase, 4 * kPage, RegionState::kMovedIn);
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    const Vaddr addr = as.FindFreeRange(2 * kPage);
+    as.CreateRegion(addr, 2 * kPage, RegionState::kMovedOut);
+    as.EnqueueCachedRegion(addr);
+  }
   for (auto _ : state) {
     region->state = RegionState::kMovedOut;
     as.EnqueueCachedRegion(kBase);
@@ -127,7 +134,7 @@ void BM_RegionCacheReuse(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_RegionCacheReuse);
+BENCHMARK(BM_RegionCacheReuse)->Arg(0)->Arg(2048);
 
 }  // namespace
 }  // namespace genie

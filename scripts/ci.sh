@@ -30,7 +30,7 @@ print_flight_dumps() {
 }
 
 echo "=== tier-1: optimized build ==="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 # The bench_smoke gate (label "bench") runs in this leg. On failure, print
 # the metrics snapshot it wrote so the op-count drift is visible in the log.
@@ -49,7 +49,7 @@ build/tests/obs_critical_path_test \
   --gtest_filter='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns:CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
 
 echo "=== tier-1: ASan+UBSan build ==="
-cmake -B build-asan -S . -DGENIE_ASAN=ON >/dev/null
+cmake -B build-asan -S . -DGENIE_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$JOBS"
 # Leak checking is off: several sim tests intentionally leave detached
 # coroutine tasks pending when the engine is torn down, so their frames are
@@ -162,7 +162,7 @@ echo "=== tier-1: concurrency layer under TSan ==="
 # interleavings themselves are the coverage, so the tests are run a few
 # times to let the scheduler explore. The differential checksum suite rides
 # along because its SIMD kernels run inside the TSan'd threads.
-cmake -B build-tsan -S . -DGENIE_TSAN=ON >/dev/null
+cmake -B build-tsan -S . -DGENIE_TSAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
   pool_shard_test hostpath_mt_stress_test net_checksum_test
 for round in 1 2 3; do

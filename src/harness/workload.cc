@@ -293,7 +293,7 @@ Task<void> Workload::RunClosedLoop(Tenant& t) {
   t.done = true;
 }
 
-Task<void> Workload::RunOneOpenTransfer(Tenant& t, std::uint64_t id) {
+Task<void> Workload::RunOneOpenTransfer(Tenant& t) {
   const TenantClassConfig& cls = *t.cls;
   TenantStats& stats = tenant_stats_[t.index];
   GENIE_CHECK(!t.free_slots.empty());  // in_flight cap == slot count
@@ -362,7 +362,7 @@ Task<void> Workload::RunOpenLoop(Tenant& t) {
       break;
     }
     ++t.in_flight;
-    std::move(RunOneOpenTransfer(t, id)).Detach();
+    std::move(RunOneOpenTransfer(t)).Detach();
   }
   t.done = true;
 }

@@ -244,7 +244,7 @@ class Workload {
 
   Task<void> RunClosedLoop(Tenant& t);
   Task<void> RunOpenLoop(Tenant& t);
-  Task<void> RunOneOpenTransfer(Tenant& t, std::uint64_t transfer_id);
+  Task<void> RunOneOpenTransfer(Tenant& t);
   // One attempt; returns the receiver-side result (ok == false on
   // recoverable failure). `slot` indexes the tenant's dst arena.
   Task<InputResult> TransferOnce(Tenant& t, std::uint64_t transfer_id, std::uint64_t len,

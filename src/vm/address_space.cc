@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <set>
 #include <sstream>
 
 #include "src/sim/trace.h"
@@ -41,6 +42,10 @@ AddressSpace::AddressSpace(Vm& vm, std::string name)
 }
 
 AddressSpace::~AddressSpace() {
+  // Drop the caches first, so removing a hidden region does not search its
+  // bucket and teardown stays linear in the number of regions.
+  moved_out_cache_.clear();
+  weakly_moved_out_cache_.clear();
   while (!regions_.empty()) {
     RemoveRegion(regions_.begin()->first);
   }
@@ -142,6 +147,14 @@ void AddressSpace::RemoveRegion(Vaddr start) {
   auto it = regions_.find(start);
   GENIE_CHECK(it != regions_.end()) << "removing unknown region";
   Region& region = it->second;
+  if (region.state == RegionState::kMovedOut || region.state == RegionState::kWeaklyMovedOut) {
+    // A hidden region may be cached; its entry goes with it, so every cache
+    // entry names a live region.
+    RegionCache& cache = CacheFor(region.state);
+    if (auto bucket = cache.find(region.length); bucket != cache.end()) {
+      std::erase(bucket->second, start);
+    }
+  }
   for (Vaddr va = region.start; va < region.end(); va += page_size_) {
     if (page_table_.contains(va)) {
       UnmapPage(va);
@@ -589,7 +602,7 @@ void AddressSpace::UnwireRange(Vaddr va, std::uint64_t len) {
   }
 }
 
-std::deque<Vaddr>& AddressSpace::CacheFor(RegionState state) {
+AddressSpace::RegionCache& AddressSpace::CacheFor(RegionState state) {
   switch (state) {
     case RegionState::kMovedOut:
       return moved_out_cache_;
@@ -604,39 +617,27 @@ std::deque<Vaddr>& AddressSpace::CacheFor(RegionState state) {
 void AddressSpace::EnqueueCachedRegion(Vaddr start) {
   Region* region = RegionAt(start);
   GENIE_CHECK(region != nullptr);
-  std::deque<Vaddr>& cache = CacheFor(region->state);
-  // Drop entries whose region was removed or recycled since they were
-  // cached. DequeueCachedRegion prunes lazily as it scans, but an
-  // application that removes regions and never does another
-  // system-allocated input would otherwise grow the cache without bound;
-  // pruning here keeps cache size <= live regions at all times.
-  const RegionState state = region->state;
-  std::erase_if(cache, [&](Vaddr s) {
-    Region* r = RegionAt(s);
-    return r == nullptr || r->state != state;
-  });
-  cache.push_back(start);
+  CacheFor(region->state)[region->length].push_back(start);
 }
 
 Region* AddressSpace::DequeueCachedRegion(std::uint64_t length, RegionState state) {
-  std::deque<Vaddr>& cache = CacheFor(state);
-  for (auto it = cache.begin(); it != cache.end();) {
-    Region* region = RegionAt(*it);
-    if (region == nullptr || region->state != state) {
-      it = cache.erase(it);  // Stale: region removed or recycled already.
-      continue;
-    }
-    if (region->length == length) {
-      cache.erase(it);
-      return region;
-    }
-    ++it;
+  RegionCache& cache = CacheFor(state);
+  auto bucket = cache.find(length);
+  if (bucket == cache.end() || bucket->second.empty()) {
+    return nullptr;
   }
-  return nullptr;
+  Region* region = RegionAt(bucket->second.front());
+  GENIE_CHECK(region != nullptr && region->state == state) << "stale hidden-region cache entry";
+  bucket->second.pop_front();
+  return region;
 }
 
 std::size_t AddressSpace::cached_regions(RegionState state) const {
-  return const_cast<AddressSpace*>(this)->CacheFor(state).size();
+  std::size_t n = 0;
+  for (const auto& [length, starts] : const_cast<AddressSpace*>(this)->CacheFor(state)) {
+    n += starts.size();
+  }
+  return n;
 }
 
 void AddressSpace::AppendInvariantViolations(std::vector<std::string>& out) const {
@@ -697,33 +698,31 @@ void AddressSpace::AppendInvariantViolations(std::vector<std::string>& out) cons
     }
   }
 
-  // Hidden-region caches: duplicates would hand the same region out twice;
-  // a live entry in the wrong-state cache would resurrect a region in a
-  // state the fault handler does not expect; and live entries can never
-  // outnumber the regions of this address space (cache boundedness).
+  // Hidden-region caches: RemoveRegion drops the entry of every region it
+  // removes, and only a dequeue takes a region out of a cached state, so every
+  // entry must name a live region in its cache's state and bucket length. A
+  // region cached twice would be handed out twice.
   const struct {
-    const std::deque<Vaddr>& cache;
+    const RegionCache& cache;
     RegionState state;
   } caches[] = {{moved_out_cache_, RegionState::kMovedOut},
                 {weakly_moved_out_cache_, RegionState::kWeaklyMovedOut}};
-  std::map<Vaddr, int> seen;
+  std::set<Vaddr> seen;
   for (const auto& [cache, state] : caches) {
-    std::size_t live = 0;
-    for (const Vaddr start : cache) {
-      if (++seen[start] > 1) {
-        fail("region cached twice", start);
+    for (const auto& [length, starts] : cache) {
+      for (const Vaddr start : starts) {
+        if (!seen.insert(start).second) {
+          fail("region cached twice", start);
+        }
+        auto it = regions_.find(start);
+        if (it == regions_.end()) {
+          fail("cache entry for a removed region", start);
+        } else if (it->second.state != state) {
+          fail("cached region in wrong state for its cache", start);
+        } else if (it->second.length != length) {
+          fail("cached region in wrong length bucket", start);
+        }
       }
-      auto it = regions_.find(start);
-      if (it == regions_.end()) {
-        continue;  // Stale entry; pruned lazily. Allowed.
-      }
-      ++live;
-      if (it->second.state != state) {
-        fail("cached region in wrong state for its cache", start);
-      }
-    }
-    if (live > regions_.size()) {
-      fail("region cache holds more live entries than regions exist", 0);
     }
   }
 }

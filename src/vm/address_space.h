@@ -147,11 +147,12 @@ class AddressSpace {
   // --- Region caching (weak move; emulated move region hiding, Section 4) ---
 
   // Enqueues the region starting at `start` on the cache matching its state
-  // (kMovedOut or kWeaklyMovedOut).
+  // (kMovedOut or kWeaklyMovedOut). RemoveRegion drops the entry again if
+  // the application removes the region while it is cached.
   void EnqueueCachedRegion(Vaddr start);
 
-  // Dequeues a cached region of exactly `length` bytes in the given state;
-  // nullptr if none. Regions removed by the application are skipped.
+  // Dequeues the oldest cached region of exactly `length` bytes in the given
+  // state; nullptr if none.
   Region* DequeueCachedRegion(std::uint64_t length, RegionState state);
 
   std::size_t cached_regions(RegionState state) const;
@@ -164,8 +165,8 @@ class AddressSpace {
   //     (catches stale PTEs left behind by eviction/swap/TCOW paths);
   //   * every warm software-TLB entry matches the page table exactly
   //     (catches missing invalidations — stale translations);
-  //   * hidden-region caches hold no duplicates, live entries match their
-  //     cache's state, and live entries never outnumber regions.
+  //   * every hidden-region cache entry names a live region in that cache's
+  //     state and of its bucket's length, and no region is cached twice.
   // Read-only: does not touch the TLB, counters, or caches.
   void AppendInvariantViolations(std::vector<std::string>& out) const;
 
@@ -201,7 +202,10 @@ class AddressSpace {
   // A shadow's paged-out private copy must win over a resident page in a
   // deeper (backing) object, or a COW child's stale view would reappear.
   MemoryObject::Lookup LookupOrPageIn(MemoryObject& top, std::uint64_t index);
-  std::deque<Vaddr>& CacheFor(RegionState state);
+  // A hidden-region cache: exact region length -> starts of the cached
+  // regions of that length, oldest first.
+  using RegionCache = std::map<std::uint64_t, std::deque<Vaddr>>;
+  RegionCache& CacheFor(RegionState state);
   // Points the PTE at `va` (if any) from `old_frame` to `new_frame`,
   // preserving its protection.
   void RetargetPte(Vaddr va, FrameId old_frame, FrameId new_frame);
@@ -213,8 +217,8 @@ class AddressSpace {
   std::map<Vaddr, Region> regions_;
   std::unordered_map<Vaddr, Pte> page_table_;  // keyed by page base address
   std::array<TlbEntry, kTlbEntries> tlb_;
-  std::deque<Vaddr> moved_out_cache_;
-  std::deque<Vaddr> weakly_moved_out_cache_;
+  RegionCache moved_out_cache_;
+  RegionCache weakly_moved_out_cache_;
   Counters counters_;
   Vaddr next_free_hint_;
 };

@@ -48,8 +48,9 @@ class VmInvariants {
   //     owner is a live object, and no frame is owned twice;
   //   * I/O references — total per-frame input references equal total
   //     per-object input references (input refs are always taken in pairs);
-  //   * per address space — no stale PTE, no stale TLB entry, hidden-region
-  //     caches consistent and bounded (AppendInvariantViolations);
+  //   * per address space — no stale PTE, no stale TLB entry, every
+  //     hidden-region cache entry a live region of its cache's state and
+  //     length, none cached twice (AppendInvariantViolations);
   //   * with expect_quiescent — no frame or object reference outstanding,
   //     no zombie frames (every transfer fully unwound).
   static InvariantReport CheckAll(Vm& vm, std::span<AddressSpace* const> spaces,

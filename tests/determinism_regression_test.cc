@@ -90,8 +90,8 @@ TEST_P(DeterminismRegressionTest, MatchesSeedGolden) {
 
 INSTANTIATE_TEST_SUITE_P(AllSemantics, DeterminismRegressionTest,
                          ::testing::ValuesIn(kSeedGoldens),
-                         [](const ::testing::TestParamInfo<Golden>& info) {
-                           std::string name(SemanticsName(info.param.sem));
+                         [](const ::testing::TestParamInfo<Golden>& param_info) {
+                           std::string name(SemanticsName(param_info.param.sem));
                            for (char& c : name) {
                              if (c == ' ') {
                                c = '_';

@@ -151,6 +151,45 @@ TEST(InvariantSelfTest, DetectsPlantedReferenceImbalance) {
   EXPECT_TRUE(repaired.ok()) << repaired.ToString();
 }
 
+// Every hidden-region cache entry must name a live region in its cache's
+// state: a region cached twice would be handed out twice, and one whose state
+// moved on without a dequeue would be handed out while in use.
+constexpr Vaddr kRegion = 0x10000000;
+
+TEST(InvariantSelfTest, DetectsRegionCachedTwice) {
+  Vm vm(16, 4096);
+  AddressSpace as(vm, "app");
+  as.CreateRegion(kRegion, 4096, RegionState::kMovedOut);
+  as.EnqueueCachedRegion(kRegion);
+  const InvariantReport clean = VmInvariants::CheckAll(vm, as, /*expect_quiescent=*/true);
+  EXPECT_TRUE(clean.ok()) << clean.ToString();
+
+  as.EnqueueCachedRegion(kRegion);
+  const InvariantReport planted = VmInvariants::CheckAll(vm, as, /*expect_quiescent=*/true);
+  EXPECT_FALSE(planted.ok());
+  EXPECT_NE(planted.ToString().find("region cached twice"), std::string::npos)
+      << planted.ToString();
+
+  ASSERT_NE(as.DequeueCachedRegion(4096, RegionState::kMovedOut), nullptr);
+  const InvariantReport repaired = VmInvariants::CheckAll(vm, as, /*expect_quiescent=*/true);
+  EXPECT_TRUE(repaired.ok()) << repaired.ToString();
+}
+
+TEST(InvariantSelfTest, DetectsCachedRegionMovedBackIn) {
+  Vm vm(16, 4096);
+  AddressSpace as(vm, "app");
+  Region* region = as.CreateRegion(kRegion, 4096, RegionState::kMovedOut);
+  as.EnqueueCachedRegion(kRegion);
+  region->state = RegionState::kMovedIn;
+  const InvariantReport planted = VmInvariants::CheckAll(vm, as, /*expect_quiescent=*/true);
+  EXPECT_FALSE(planted.ok());
+  EXPECT_NE(planted.ToString().find("wrong state"), std::string::npos) << planted.ToString();
+
+  region->state = RegionState::kMovedOut;
+  const InvariantReport repaired = VmInvariants::CheckAll(vm, as, /*expect_quiescent=*/true);
+  EXPECT_TRUE(repaired.ok()) << repaired.ToString();
+}
+
 TEST(InvariantSelfTest, TotalChecksCountsEveryPredicate) {
   Vm vm(16, 4096);
   AddressSpace as(vm, "app");

@@ -1,10 +1,13 @@
 #include "src/vm/address_space.h"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/util/rng.h"
+#include "src/vm/invariants.h"
 #include "src/vm/vm.h"
 
 namespace genie {
@@ -236,6 +239,7 @@ TEST_F(AddressSpaceTest, StaleCacheEntriesSkipped) {
   r->state = RegionState::kMovedOut;
   as_.EnqueueCachedRegion(kBase);
   as_.RemoveRegion(kBase);  // Application (maliciously) removed it.
+  EXPECT_EQ(as_.cached_regions(RegionState::kMovedOut), 0u);
   EXPECT_EQ(as_.DequeueCachedRegion(kPage, RegionState::kMovedOut), nullptr);
 }
 
@@ -248,6 +252,90 @@ TEST_F(AddressSpaceTest, CacheIsFifo) {
   as_.EnqueueCachedRegion(kBase + 4 * kPage);
   EXPECT_EQ(as_.DequeueCachedRegion(kPage, RegionState::kWeaklyMovedOut), r1);
   EXPECT_EQ(as_.DequeueCachedRegion(kPage, RegionState::kWeaklyMovedOut), r2);
+}
+
+// The caches must hand out what one FIFO per state always did: the first
+// live entry of exactly that length and state in global enqueue order, where
+// an entry dies when its region is dequeued or removed. A seeded run of
+// enqueues, dequeues and removals (of cached and uncached regions) is checked
+// against a model of that rule after every operation.
+TEST_F(AddressSpaceTest, CacheMatchesFifoReferenceOverSeededOps) {
+  struct Entry {
+    Vaddr start;
+    std::uint64_t length;
+    RegionState state;
+  };
+  constexpr RegionState kCachedStates[] = {RegionState::kMovedOut,
+                                           RegionState::kWeaklyMovedOut};
+  std::vector<Entry> live;      // the model: live entries, oldest first
+  std::vector<Vaddr> uncached;  // live regions in no cache
+  SplitMix64 rng(0xcace);
+  auto fresh_region = [&](RegionState state) {
+    const std::uint64_t length = rng.Range(1, 15) * kPage;
+    const Vaddr start = as_.FindFreeRange(length);
+    as_.CreateRegion(start, length, state);
+    return start;
+  };
+  auto take = [](auto& v, std::size_t i) {
+    const auto value = v[i];
+    v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
+    return value;
+  };
+  int hits = 0;
+  int misses = 0;
+  int cached_removals = 0;
+  int uncached_removals = 0;
+  for (int op = 0; op < 12000; ++op) {
+    const RegionState state = kCachedStates[rng.Below(2)];
+    const std::uint64_t roll = rng.Below(100);
+    if (roll < 45) {
+      // Enqueue a region a dequeue handed out (as an unwound input does) or
+      // a fresh one.
+      const Vaddr start = !uncached.empty() && rng.Chance(0.5)
+                              ? take(uncached, rng.Below(uncached.size()))
+                              : fresh_region(state);
+      Region* region = as_.RegionAt(start);
+      region->state = state;
+      as_.EnqueueCachedRegion(start);
+      live.push_back({start, region->length, state});
+    } else if (roll < 75) {
+      const std::uint64_t length = rng.Range(1, 15) * kPage;
+      const auto expected = std::find_if(live.begin(), live.end(), [&](const Entry& e) {
+        return e.length == length && e.state == state;
+      });
+      Region* got = as_.DequeueCachedRegion(length, state);
+      if (expected == live.end()) {
+        ASSERT_EQ(got, nullptr) << "op " << op;
+        ++misses;
+      } else {
+        ASSERT_NE(got, nullptr) << "op " << op;
+        ASSERT_EQ(got->start, expected->start) << "op " << op;
+        got->state = RegionState::kMovingIn;
+        uncached.push_back(got->start);
+        live.erase(expected);
+        ++hits;
+      }
+    } else if (roll < 80) {
+      uncached.push_back(fresh_region(state));  // Hidden but never enqueued.
+    } else if (!live.empty() && rng.Chance(0.5)) {
+      as_.RemoveRegion(take(live, rng.Below(live.size())).start);
+      ++cached_removals;
+    } else if (!uncached.empty()) {
+      as_.RemoveRegion(take(uncached, rng.Below(uncached.size())));
+      ++uncached_removals;
+    }
+    for (const RegionState s : kCachedStates) {
+      const auto count = std::count_if(live.begin(), live.end(),
+                                       [&](const Entry& e) { return e.state == s; });
+      ASSERT_EQ(as_.cached_regions(s), static_cast<std::size_t>(count)) << "op " << op;
+    }
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(misses, 0);
+  EXPECT_GT(cached_removals, 0);
+  EXPECT_GT(uncached_removals, 0);
+  const InvariantReport report = VmInvariants::CheckAll(vm_, as_, /*expect_quiescent=*/true);
+  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // --- Sharing an object between address spaces ---
