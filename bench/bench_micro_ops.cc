@@ -9,6 +9,10 @@
 
 #include "src/genie/sys_buffer.h"
 #include "src/mem/phys_memory.h"
+#include "src/sim/awaitable.h"
+#include "src/sim/engine.h"
+#include "src/sim/resource.h"
+#include "src/sim/task.h"
 #include "src/vm/address_space.h"
 #include "src/vm/io_ref.h"
 #include "src/vm/vm.h"
@@ -135,6 +139,65 @@ void BM_RegionCacheReuse(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RegionCacheReuse)->Arg(0)->Arg(2048);
+
+// --- Simulator dispatch: coroutine resumes and detached resource charges ---
+
+Task<void> ResumeLoop(Engine& eng, SimTime period, const bool* stop) {
+  while (!*stop) {
+    co_await Delay(eng, period);
+  }
+}
+
+void BM_EngineResume(benchmark::State& state) {
+  // 64 coroutines each re-arm a Delay when resumed, so every Step() is one
+  // coroutine resume against a steady queue of 64 events; distinct periods
+  // keep the heap sifts realistic.
+  constexpr int kDepth = 64;
+  Engine eng;
+  bool stop = false;
+  for (int i = 0; i < kDepth; ++i) {
+    std::move(ResumeLoop(eng, 100 + i, &stop)).Detach();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(eng.Step());
+  }
+  stop = true;
+  eng.Run();  // Each loop resumes once more and returns, freeing its frame.
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineResume);
+
+// range(0) driver charges issued at one instant on one resource (the first
+// is granted, the rest queue FIFO), then the engine drains them.
+// BM_ResourceRunDetached is the frame-free path the adapter uses;
+// BM_ResourceRunTaskDetach the coroutine form, std::move(Run(c)).Detach().
+void BM_ResourceRunDetached(benchmark::State& state) {
+  Engine eng;
+  Resource cpu(eng, "cpu");
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      cpu.RunDetached(100);
+    }
+    eng.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ResourceRunDetached)->Arg(1)->Arg(16);
+
+void BM_ResourceRunTaskDetach(benchmark::State& state) {
+  Engine eng;
+  Resource cpu(eng, "cpu");
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      std::move(cpu.Run(100)).Detach();
+    }
+    eng.Run();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ResourceRunTaskDetach)->Arg(1)->Arg(16);
 
 }  // namespace
 }  // namespace genie

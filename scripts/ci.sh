@@ -48,6 +48,21 @@ fi
 build/tests/obs_critical_path_test \
   --gtest_filter='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns:CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
 
+echo "=== tier-1: host-speed benchmark builds and runs ==="
+# Nothing else builds perfbench/ (the host-speed benchmark), so a src/ API
+# change could break its build or its correctness checks unnoticed. Run its
+# arithmetic self-test, then each workload for 1 s untraced and traced;
+# run.py exits nonzero on a failed build or a failed correctness check.
+# CXXFLAGS reaches the compiler when run.py first configures .bench_build/.
+CXXFLAGS=-Werror python3 perfbench/run.py --self-test
+for workload in copy_stream_60k remap_sweep; do
+  for trace in 0 1; do
+    echo "perfbench $workload --trace $trace"
+    CXXFLAGS=-Werror python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
+      --trace "$trace"
+  done
+done
+
 echo "=== tier-1: ASan+UBSan build ==="
 cmake -B build-asan -S . -DGENIE_ASAN=ON -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$JOBS"

@@ -96,9 +96,12 @@ Endpoint::Endpoint(Node& node, std::uint64_t channel, GenieOptions options)
       channel_(channel),
       options_(options),
       metric_prefix_("ep" + std::to_string(channel) + "."),
+      xfer_track_(node.name() + ".xfer"),
+      output_latency_us_(&node.metrics().Histogram(metric_prefix_ + "output_latency_us")),
       cq_ready_(node.engine()) {
   if (options_.register_metrics) {
     RegisterMetrics();
+    input_latency_us_ = &node_->metrics().Histogram(metric_prefix_ + "input_latency_us");
   }
   switch (node_->adapter().rx_buffering()) {
     case InputBuffering::kPooled:
@@ -178,19 +181,21 @@ void Endpoint::RegisterMetrics() {
 }
 
 std::string Endpoint::XferLabel(const char* direction, Semantics sem) {
-  return std::string(direction) + "#" + std::to_string(next_transfer_id_++) + "[" +
+  const std::uint64_t id = next_transfer_id_++;
+  if (node_->trace() == nullptr && !node_->reliable().watchdog_enabled()) {
+    return {};  // Nothing will read it: only traces and the watchdog do.
+  }
+  return std::string(direction) + "#" + std::to_string(id) + "[" +
          std::string(SemanticsName(sem)) + "]";
 }
-
-std::string Endpoint::XferTrack() const { return node_->name() + ".xfer"; }
 
 void Endpoint::RecordInputComplete(PendingInput& pi) {
   if (pi.cancel_id != 0) {
     live_inputs_.erase(pi.cancel_id);
   }
   const double us = SimTimeToMicros(node_->engine().now() - pi.started_at);
-  if (options_.register_metrics) {
-    node_->metrics().Histogram(metric_prefix_ + "input_latency_us").Add(us);
+  if (input_latency_us_ != nullptr) {
+    input_latency_us_->Add(us);
   }
   if (input_latency_probe_) {
     input_latency_probe_(us);
@@ -280,7 +285,7 @@ std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& a
 }
 
 Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
-  TraceScope prepare_span(node_->trace(), XferTrack(), st->xfer + ".prepare", "xfer", st->flow);
+  TraceScope prepare_span(node_->trace(), xfer_track_, st->xfer, ".prepare", st->flow);
   co_await Charge(OpKind::kSenderKernelFixed, 0);
   Charges charges;
   IoStatus prep;
@@ -295,7 +300,7 @@ Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
     // kernel time spent on the attempt is still charged.
     ++stats_.failed_outputs;
     ++stats_.recovered_transfers;
-    for (const auto& [op, bytes] : charges.items) {
+    for (const auto& [op, bytes] : charges) {
       co_await Charge(op, bytes);
     }
     prepare_span.End();
@@ -321,7 +326,7 @@ Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
                     : OpKind::kChecksumRead,
                 st->len);
   }
-  for (const auto& [op, bytes] : charges.items) {
+  for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
   prepare_span.End();
@@ -621,8 +626,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
   // Device setup, bus and network fixed latencies, then the wire transfer.
   // The transmit span covers DMA through the adapter completion.
   ReliableDelivery& reliable = node_->reliable();
-  TraceScope transmit_span(node_->trace(), XferTrack(), st->xfer + ".transmit", "xfer",
-                           st->flow);
+  TraceScope transmit_span(node_->trace(), xfer_track_, st->xfer, ".transmit", st->flow);
   co_await Delay(node_->engine(), node_->Cost(OpKind::kHardwareFixed, 0));
   bool delivery_failed = false;
   bool watchdog_cancelled = false;
@@ -697,19 +701,17 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
   // Transmit-complete: dispose on the sender CPU (overlapping the network
   // and receiver-side processing).
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), st->xfer + ".dispose", "xfer", st->flow);
+  TraceScope dispose_span(node_->trace(), xfer_track_, st->xfer, ".dispose", st->flow);
   Charges charges;
   {
     ScopedTraceContext trace_ctx(node_->trace(), st->xfer);
     DisposeOutput(*st, charges);
   }
-  for (const auto& [op, bytes] : charges.items) {
+  for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
   dispose_span.End();
-  node_->metrics()
-      .Histogram(metric_prefix_ + "output_latency_us")
-      .Add(SimTimeToMicros(node_->engine().now() - st->started_at));
+  output_latency_us_->Add(SimTimeToMicros(node_->engine().now() - st->started_at));
   node_->cpu().Release();
   FinishOperation();
   if (st->on_complete) {
@@ -862,14 +864,14 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   ++pending_;
 
   co_await node_->cpu().Acquire();
-  TraceScope prepare_span(node_->trace(), XferTrack(), pi->xfer + ".prepare");
+  TraceScope prepare_span(node_->trace(), xfer_track_, pi->xfer, ".prepare");
   Charges charges;
   IoStatus prep;
   {
     ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
     prep = PrepareInputWithFallback(*pi, charges);
   }
-  for (const auto& [op, bytes] : charges.items) {
+  for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
   prepare_span.End();
@@ -1533,7 +1535,7 @@ void Endpoint::CancelStuckInput(PendingInput& pi) {
   ++stats_.recovered_transfers;
   ++stats_.watchdog_cancels;
   if (TraceLog* trace = node_->trace(); trace != nullptr) {
-    trace->Instant(XferTrack(), pi.xfer + " watchdog cancelled", "reliable",
+    trace->Instant(xfer_track_, pi.xfer + " watchdog cancelled", "reliable",
                    node_->engine().now());
   }
   RecordInputComplete(pi);
@@ -1561,7 +1563,7 @@ void Endpoint::CrashAbort() {
     ++stats_.failed_inputs;
     ++stats_.recovered_transfers;
     if (TraceLog* trace = node_->trace(); trace != nullptr) {
-      trace->Instant(XferTrack(), pi->xfer + " crash aborted", "crash",
+      trace->Instant(xfer_track_, pi->xfer + " crash aborted", "crash",
                      node_->engine().now());
     }
     RecordInputComplete(*pi);
@@ -1603,7 +1605,7 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
                                           RxCompletion completion) {
   pi->flow = completion.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   Charges charges;
   pi->result.crc_ok = completion.crc_ok;
@@ -1631,7 +1633,7 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
       }
     }
   }
-  for (const auto& [op, bytes] : charges.items) {
+  for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
   dispose_span.End();
@@ -1645,7 +1647,7 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
 Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFrame frame) {
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   // Ready-time operations (Table 4): overlay allocation happened at arrival
   // in the device; the kernel-side costs land here, on the critical path.
@@ -1692,7 +1694,7 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
       }
     }
   }
-  for (const auto& [op, bytes] : charges.items) {
+  for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
   dispose_span.End();
@@ -1708,7 +1710,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
   const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), XferTrack(), pi->xfer + ".dispose", "xfer", pi->flow);
+  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
   co_await Charge(OpKind::kReceiverKernelFixed, 0);
   pi->result.crc_ok = frame.crc_ok;
 
@@ -1742,7 +1744,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
       ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
       CleanupFailedInput(*pi, charges);
     }
-    for (const auto& [op, bytes] : charges.items) {
+    for (const auto& [op, bytes] : charges) {
       co_await Charge(op, bytes);
     }
     adapter.FreeOutboard(frame.handle);
@@ -1806,7 +1808,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
       ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
       DisposeInputTable3(*pi, n, charges);
     }
-    for (const auto& [op, bytes] : charges.items) {
+    for (const auto& [op, bytes] : charges) {
       co_await Charge(op, bytes);
     }
     adapter.FreeOutboard(frame.handle);

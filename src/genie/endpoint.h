@@ -27,6 +27,7 @@
 #include "src/genie/sys_buffer.h"
 #include "src/sim/awaitable.h"
 #include "src/sim/task.h"
+#include "src/util/check.h"
 #include "src/vm/io_ref.h"
 
 namespace genie {
@@ -221,9 +222,23 @@ class Endpoint {
   void CrashAbort();
 
  private:
-  struct Charges {
-    std::vector<std::pair<OpKind, std::uint64_t>> items;
-    void Add(OpKind op, std::uint64_t bytes) { items.emplace_back(op, bytes); }
+  // The ops one prepare or dispose phase records for its coroutine to charge,
+  // kept inline (no allocation). No phase records more than ten: a failed
+  // semantics attempt records at most one op, and the longest dispose (a
+  // pooled emulated move) records nine plus the checksum.
+  class Charges {
+   public:
+    using Item = std::pair<OpKind, std::uint64_t>;
+    void Add(OpKind op, std::uint64_t bytes) {
+      GENIE_CHECK_LT(size_, items_.size()) << "too many charges in one phase";
+      items_[size_++] = Item{op, bytes};
+    }
+    const Item* begin() const { return items_.data(); }
+    const Item* end() const { return items_.data() + size_; }
+
+   private:
+    std::array<Item, 16> items_;
+    std::size_t size_ = 0;
   };
 
   struct OutputState {
@@ -385,10 +400,10 @@ class Endpoint {
   // Registers this endpoint's stats and op-count gauges ("ep<channel>.*")
   // with the node's MetricsRegistry; the destructor unregisters them.
   void RegisterMetrics();
-  // "out#7[emulated copy]" — the per-transfer trace/metric key.
+  // "out#7[emulated copy]" — the per-transfer trace/watchdog key. Empty when
+  // the transfer starts with no trace attached and the watchdog off, so an
+  // untraced transfer builds no label (the id is consumed either way).
   std::string XferLabel(const char* direction, Semantics sem);
-  // The "<node>.xfer" track every per-transfer span lands on.
-  std::string XferTrack() const;
   void RecordInputComplete(PendingInput& pi);
 
   Node* node_;
@@ -398,6 +413,10 @@ class Endpoint {
   std::array<std::uint64_t, kOpKindCount> op_counts_{};
   std::array<std::uint64_t, kOpKindCount> op_bytes_{};
   std::string metric_prefix_;  // "ep<channel>."
+  std::string xfer_track_;    // "<node>.xfer": every per-transfer span's track
+  // Looked up once: the registry's histograms are stable and outlive us.
+  LatencyHistogram* input_latency_us_ = nullptr;  // null without register_metrics
+  LatencyHistogram* output_latency_us_ = nullptr;
   std::uint64_t next_transfer_id_ = 1;
   OpProbe op_probe_;
   std::function<void(double)> input_latency_probe_;

@@ -16,6 +16,7 @@ SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::
   buf.length = len;
   buf.page_offset = page_offset;
   const std::uint64_t pages = (page_offset + len + psz - 1) / psz;
+  buf.frames.reserve(static_cast<std::size_t>(pages));
   // Preferred: one physically contiguous run, so the DMA list is a single
   // segment and disposes/copies touch one span.
   if (page_offset + len <= std::numeric_limits<std::uint32_t>::max()) {
@@ -64,6 +65,7 @@ bool TryAllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::ui
   buf.length = len;
   buf.page_offset = page_offset;
   const std::uint64_t pages = (page_offset + len + psz - 1) / psz;
+  buf.frames.reserve(static_cast<std::size_t>(pages));
   if (page_offset + len <= std::numeric_limits<std::uint32_t>::max()) {
     const FrameId first = pm.TryAllocateRun(static_cast<std::size_t>(pages));
     if (first != kInvalidFrame) {

@@ -21,12 +21,23 @@ void PhysicalMemory::TakeFromRun(std::map<FrameId, FrameId>::iterator run, Frame
   const FrameId run_len = run->second;
   GENIE_CHECK_LE(run_start, first);
   GENIE_CHECK_LE(first + count, run_start + run_len);
-  free_runs_.erase(run);
+  const FrameId tail_start = first + count;
+  const FrameId tail_len = (run_start + run_len) - tail_start;
   if (first > run_start) {
-    free_runs_[run_start] = first - run_start;
-  }
-  if (first + count < run_start + run_len) {
-    free_runs_[first + count] = (run_start + run_len) - (first + count);
+    run->second = first - run_start;  // The head keeps the node.
+    if (tail_len > 0) {
+      free_runs_.emplace_hint(std::next(run), tail_start, tail_len);
+    }
+  } else if (tail_len > 0) {
+    // Taken from the front (first fit): re-key the node to the tail instead
+    // of freeing it and allocating another.
+    const auto hint = std::next(run);
+    auto node = free_runs_.extract(run);
+    node.key() = tail_start;
+    node.mapped() = tail_len;
+    free_runs_.insert(hint, std::move(node));
+  } else {
+    free_runs_.erase(run);
   }
   free_count_ -= count;
   for (FrameId f = first; f < first + count; ++f) {

@@ -193,7 +193,10 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     snapshot.dst_epoch = dst_epoch;
     snapshot.bytes.reserve(wire_bytes);
   }
-  std::vector<std::byte> chunk(config_.chunk_bytes);
+  // Every byte of the bounce chunk is written by ReadFromIoVec before it is
+  // read, so it is not zero-filled.
+  const std::unique_ptr<std::byte[]> chunk =
+      std::make_unique_for_overwrite<std::byte[]>(config_.chunk_bytes);
   std::uint64_t sent = 0;
   bool carrier_lost = false;
   while (sent < wire_bytes) {
@@ -202,19 +205,18 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     // Snapshot the bytes from the frames *now*: this is the instant the DMA
     // engine reads them. Earlier or later application stores are or are not
     // visible exactly as on real cut-through hardware (page granularity).
-    ReadFromIoVec(pm_, iov, sent, std::span<std::byte>(chunk.data(), n));
+    ReadFromIoVec(pm_, iov, sent, std::span<std::byte>(chunk.get(), n));
     if (tx_cpu_ != nullptr && driver_us_per_byte_ > 0) {
       // Driver/descriptor processing overlapping this chunk's wire time.
-      std::move(tx_cpu_->Run(MicrosToSimTime(static_cast<double>(n) * driver_us_per_byte_)))
-          .Detach();
+      tx_cpu_->RunDetached(MicrosToSimTime(static_cast<double>(n) * driver_us_per_byte_));
     }
     co_await Delay(engine_, MicrosToSimTime(static_cast<double>(n) * link_us_per_byte_));
     const bool is_last = sent + n == wire_bytes;
     if (need_snapshot) {
-      snapshot.bytes.insert(snapshot.bytes.end(), chunk.data(), chunk.data() + n);
+      snapshot.bytes.insert(snapshot.bytes.end(), chunk.get(), chunk.get() + n);
     }
     if (deliver_now) {
-      dst->DeliverChunk(std::span<const std::byte>(chunk.data(), n), is_last);
+      dst->DeliverChunk(std::span<const std::byte>(chunk.get(), n), is_last);
     }
     sent += n;
     if (path != nullptr && sent < wire_bytes && PathDown(*path)) {
@@ -317,6 +319,9 @@ void Adapter::DeliverHeldFramesLocked(Adapter* dst) {
   // destination's egress, and delivering to any other adapter here would
   // interleave with a frame it might be receiving. Other destinations' held
   // frames wait for their own flush timer or a later same-destination frame.
+  if (held_.empty()) {
+    return;
+  }
   std::deque<HeldFrame> keep;
   while (!held_.empty()) {
     HeldFrame frame = std::move(held_.front());
@@ -571,7 +576,7 @@ bool Adapter::AbortCreditWait(std::uint64_t channel, const std::shared_ptr<TxCon
       const std::coroutine_handle<> h = w->handle;
       it->second.erase(w);
       ctl->aborted = true;
-      engine_.ScheduleAfter(0, [h] { h.resume(); });
+      engine_.ResumeAfter(0, h);
       return true;
     }
   }
@@ -603,7 +608,7 @@ void Adapter::GrantCredit(std::uint64_t channel) {
     // Hand the credit straight to the oldest blocked transmission.
     const std::coroutine_handle<> h = waiters.front().handle;
     waiters.pop_front();
-    engine_.ScheduleAfter(0, [h] { h.resume(); });
+    engine_.ResumeAfter(0, h);
     return;
   }
   ++tx_credits_[channel];
@@ -748,9 +753,7 @@ void Adapter::DeliverChunk(std::span<const std::byte> data, bool is_last) {
     // Receive-side driver work overlapping the rest of the frame's arrival.
     // The final chunk's share is folded into the interrupt processing that
     // completion charges, so it is skipped here to keep it off the wire path.
-    std::move(
-        rx_cpu_->Run(MicrosToSimTime(static_cast<double>(data.size()) * driver_us_per_byte_)))
-        .Detach();
+    rx_cpu_->RunDetached(MicrosToSimTime(static_cast<double>(data.size()) * driver_us_per_byte_));
   }
   RxState& rx = *rx_;
   if (rx.dropped || rx.duplicate || rx.silent_drop || rx.fenced) {
@@ -1017,7 +1020,7 @@ void Adapter::Crash(std::uint32_t new_epoch) {
       if (w.ctl != nullptr) {
         w.ctl->aborted = true;
       }
-      engine_.ScheduleAfter(0, [h = w.handle] { h.resume(); });
+      engine_.ResumeAfter(0, w.handle);
     }
   }
   credit_waiters_.clear();

@@ -27,7 +27,7 @@ void SwitchLink::Enqueue(std::uint64_t channel, std::uint64_t bytes,
     if (dead != nullptr) {
       *dead = true;
     }
-    engine_->ScheduleAfter(0, [h] { h.resume(); });
+    engine_->ResumeAfter(0, h);
     return;
   }
   auto [it, inserted] = queues_.try_emplace(channel);
@@ -70,7 +70,7 @@ void SwitchLink::SetDown() {
       if (w.dead != nullptr) {
         *w.dead = true;
       }
-      engine_->ScheduleAfter(0, [h = w.handle] { h.resume(); });
+      engine_->ResumeAfter(0, w.handle);
     }
   }
   queues_.clear();
@@ -122,7 +122,7 @@ void SwitchLink::GrantNext() {
     grant_time_ = engine_->now();
     ++grants_;
     bytes_granted_ += w.bytes;
-    engine_->ScheduleAfter(0, [h = w.handle] { h.resume(); });
+    engine_->ResumeAfter(0, w.handle);
     return;
   }
 }

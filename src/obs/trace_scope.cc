@@ -4,18 +4,19 @@
 
 namespace genie {
 
-TraceScope::TraceScope(TraceLog* log, std::string track, std::string name,
-                       std::string category, std::uint64_t flow)
-    : log_(log),
-      track_(std::move(track)),
-      name_(std::move(name)),
-      category_(std::move(category)),
-      flow_(flow) {
-  if (log_ != nullptr) {
-    start_ = log_->Now();
-  } else {
+TraceScope::TraceScope(TraceLog* log, std::string_view track, std::string_view name,
+                       std::string_view name_suffix, std::uint64_t flow,
+                       std::string_view category)
+    : log_(log), flow_(flow) {
+  if (log_ == nullptr) {
     ended_ = true;
+    return;
   }
+  track_ = track;
+  name_.reserve(name.size() + name_suffix.size());
+  name_.append(name).append(name_suffix);
+  category_ = category;
+  start_ = log_->Now();
 }
 
 void TraceScope::End() {

@@ -15,6 +15,7 @@
 #define GENIE_SRC_OBS_TRACE_SCOPE_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/sim/trace.h"
 
@@ -22,10 +23,13 @@ namespace genie {
 
 class TraceScope {
  public:
-  // A null `log` makes the scope a no-op. A nonzero `flow` stamps the span
-  // with that causal flow id (see TraceLog::Event::flow).
-  TraceScope(TraceLog* log, std::string track, std::string name,
-             std::string category = "xfer", std::uint64_t flow = 0);
+  // Opens the span `name` + `name_suffix` ("out#3[copy]" + ".prepare") on
+  // `track`. A null `log` makes the scope a no-op that builds no strings: the
+  // parts are joined only when a log is attached. A nonzero `flow` stamps
+  // the span with that causal flow id (see TraceLog::Event::flow).
+  TraceScope(TraceLog* log, std::string_view track, std::string_view name,
+             std::string_view name_suffix, std::uint64_t flow = 0,
+             std::string_view category = "xfer");
   ~TraceScope() { End(); }
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;

@@ -22,7 +22,7 @@ class Delay {
 
   bool await_ready() const noexcept { return duration_ == 0; }
   void await_suspend(std::coroutine_handle<> h) const {
-    engine_.ScheduleAfter(duration_, [h] { h.resume(); });
+    engine_.ResumeAfter(duration_, h);
   }
   void await_resume() const noexcept {}
 
@@ -44,7 +44,7 @@ class SimEvent {
   void Set() {
     set_ = true;
     for (std::coroutine_handle<> h : waiters_) {
-      engine_->ScheduleAfter(0, [h] { h.resume(); });
+      engine_->ResumeAfter(0, h);
     }
     waiters_.clear();
   }

@@ -1,15 +1,26 @@
 // Discrete-event simulation engine.
 //
-// The engine owns a priority queue of (time, sequence, callback) events and a
+// The engine owns a priority queue of (time, sequence) events and a
 // monotonically advancing clock in integer nanoseconds. Events scheduled for
 // the same instant run in scheduling order (FIFO), which makes every run of a
 // simulation bit-for-bit deterministic.
+//
+// A queued event is a trivially copyable (time, seq, function pointer,
+// context, argument) entry, so heap sifts move 40 plain bytes. A coroutine
+// resume carries its handle in the entry itself (ResumeAt/ResumeAfter) and a
+// raw call its context pointer and argument (CallAfter); neither stores
+// anything else. A std::function callback (ScheduleAt/ScheduleAfter)
+// lives in an out-of-line slot table and its entry carries only the slot
+// index. All three kinds share one seq counter, so the kind of an event never
+// changes the order in which it runs.
 #ifndef GENIE_SRC_SIM_ENGINE_H_
 #define GENIE_SRC_SIM_ENGINE_H_
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -20,6 +31,8 @@ namespace genie {
 class Engine {
  public:
   using Callback = std::function<void()>;
+  // A raw event body: called as fn(ctx, arg).
+  using RawFn = void (*)(void* ctx, std::uint64_t arg);
 
   Engine() = default;
   Engine(const Engine&) = delete;
@@ -33,6 +46,15 @@ class Engine {
 
   // Schedules `fn` to run `delay` ns from now (delay must be >= 0).
   void ScheduleAfter(SimTime delay, Callback fn);
+
+  // Resumes the suspended coroutine `h` at absolute time `t` / `delay` ns
+  // from now. Orders exactly like ScheduleAt(t, [h] { h.resume(); }).
+  void ResumeAt(SimTime t, std::coroutine_handle<> h) { Push(t, &ResumeHandle, h.address(), 0); }
+  void ResumeAfter(SimTime delay, std::coroutine_handle<> h);
+
+  // Calls fn(ctx, arg) `delay` ns from now: an event with no closure to
+  // store, for hot paths (Resource::RunDetached, TimerSet).
+  void CallAfter(SimTime delay, RawFn fn, void* ctx, std::uint64_t arg);
 
   // Runs the earliest pending event. Returns false if none are pending.
   bool Step();
@@ -79,8 +101,11 @@ class Engine {
   struct Event {
     SimTime time;
     std::uint64_t seq;
-    Callback fn;
+    RawFn fn;
+    void* ctx;
+    std::uint64_t arg;
   };
+  static_assert(std::is_trivially_copyable_v<Event>);
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) {
@@ -90,6 +115,11 @@ class Engine {
     }
   };
 
+  void Push(SimTime t, RawFn fn, void* ctx, std::uint64_t arg);
+  static void ResumeHandle(void* address, std::uint64_t);
+  // Runs and frees the callback in slot `slot` of engine `self`.
+  static void RunCallback(void* self, std::uint64_t slot);
+
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_flow_id_ = 0;
@@ -97,6 +127,11 @@ class Engine {
   Probe probe_;
   Fnv1a64 digest_;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // Out-of-line storage for pending std::function callbacks. A slot is
+  // reused once its callback has run; the table grows to the peak number of
+  // callbacks pending at once and never shrinks.
+  std::vector<Callback> callbacks_;
+  std::vector<std::uint64_t> free_slots_;
 };
 
 }  // namespace genie

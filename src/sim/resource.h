@@ -33,7 +33,7 @@ class Resource {
         }
         return false;
       }
-      void await_suspend(std::coroutine_handle<> h) { res.waiters_.push_back(h); }
+      void await_suspend(std::coroutine_handle<> h) { res.waiters_.push_back(Waiter{h, 0}); }
       void await_resume() const noexcept {}
     };
     return Awaiter{*this};
@@ -48,10 +48,14 @@ class Resource {
       held_ = false;
       return;
     }
-    std::coroutine_handle<> next = waiters_.front();
+    const Waiter next = waiters_.front();
     waiters_.pop_front();
     grant_time_ = engine_->now();  // Hand-off: stays held, new grant starts now.
-    engine_->ScheduleAfter(0, [next] { next.resume(); });
+    if (next.handle) {
+      engine_->ResumeAfter(0, next.handle);
+    } else {
+      engine_->CallAfter(0, &StartCharge, this, static_cast<std::uint64_t>(next.cost));
+    }
   }
 
   // Acquires the resource, holds it for `cost` ns of simulated work, and
@@ -61,6 +65,22 @@ class Resource {
     co_await Acquire();
     co_await Delay(*engine_, cost);
     Release();
+  }
+
+  // Fire-and-forget Run(cost) with no coroutine frame. The charge joins the
+  // same FIFO as Acquire() waiters and schedules exactly the events that
+  // `std::move(Run(cost)).Detach()` schedules: a grant event at the hand-off
+  // if it had to queue, then a release event `cost` ns into its hold unless
+  // the cost is 0 (Delay(0) does not suspend). Swapping one for the other
+  // therefore leaves every event's (time, seq), and the digest, unchanged.
+  void RunDetached(SimTime cost) {
+    GENIE_CHECK_GE(cost, 0);
+    if (held_) {
+      waiters_.push_back(Waiter{nullptr, cost});
+      return;
+    }
+    Grant();
+    Hold(cost);
   }
 
   bool held() const { return held_; }
@@ -86,18 +106,37 @@ class Resource {
   }
 
  private:
-  friend struct AcquireAwaiter;
+  // A queued holder: a suspended Acquire() caller, or (null handle) a
+  // RunDetached() charge of `cost` ns.
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    SimTime cost;
+  };
+
   void Grant() {
     held_ = true;
     grant_time_ = engine_->now();
   }
+  // The granted detached charge: Run()'s `co_await Delay(cost); Release();`.
+  void Hold(SimTime cost) {
+    if (cost == 0) {
+      Release();
+      return;
+    }
+    engine_->CallAfter(cost, &EndCharge, this, 0);
+  }
+  // Engine::RawFn bodies: a queued charge's grant event, any charge's release.
+  static void StartCharge(void* self, std::uint64_t cost) {
+    static_cast<Resource*>(self)->Hold(static_cast<SimTime>(cost));
+  }
+  static void EndCharge(void* self, std::uint64_t) { static_cast<Resource*>(self)->Release(); }
 
   Engine* engine_;
   std::string name_;
   bool held_ = false;
   SimTime grant_time_ = 0;
   SimTime busy_accum_ = 0;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::deque<Waiter> waiters_;
 };
 
 }  // namespace genie

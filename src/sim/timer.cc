@@ -7,17 +7,20 @@ namespace genie {
 TimerSet::Handle TimerSet::ScheduleAfter(SimTime delay, std::function<void()> fn) {
   const Handle handle = next_++;
   live_.emplace(handle, std::move(fn));
-  engine_->ScheduleAfter(delay, [this, handle] {
-    auto it = live_.find(handle);
-    if (it == live_.end()) {
-      return;  // Cancelled; the queued event degenerates to a no-op.
-    }
-    std::function<void()> callback = std::move(it->second);
-    live_.erase(it);
-    ++fired_;
-    callback();
-  });
+  engine_->CallAfter(delay, &TimerSet::Fire, this, handle);
   return handle;
+}
+
+void TimerSet::Fire(void* self, Handle handle) {
+  TimerSet& timers = *static_cast<TimerSet*>(self);
+  auto it = timers.live_.find(handle);
+  if (it == timers.live_.end()) {
+    return;  // Cancelled; the queued event degenerates to a no-op.
+  }
+  std::function<void()> callback = std::move(it->second);
+  timers.live_.erase(it);
+  ++timers.fired_;
+  callback();
 }
 
 bool TimerSet::Cancel(Handle handle) {

@@ -40,6 +40,9 @@ class TimerSet {
   std::uint64_t cancelled() const { return cancelled_; }
 
  private:
+  // The trampoline each timer queues: runs timer `handle` unless cancelled.
+  static void Fire(void* self, Handle handle);
+
   Engine* engine_;
   Handle next_ = 1;
   std::map<Handle, std::function<void()>> live_;

@@ -17,6 +17,7 @@ AccessResult ReferenceRange(AddressSpace& aspace, Vaddr va, std::uint64_t len, I
   const std::uint32_t page_size = aspace.page_size();
   out->iovec.segments.clear();
   out->frames.clear();
+  out->frames.reserve(static_cast<std::size_t>((va % page_size + len + page_size - 1) / page_size));
   out->object = region->object;
   out->direction = dir;
 
