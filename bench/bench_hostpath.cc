@@ -293,9 +293,9 @@ int Run(bool json_only) {
   // --- Selective-repeat window sweep (simulated throughput, deterministic).
   //     A stream of 64 copy-semantics 60 KiB datagrams is driven through the
   //     Endpoint's submit/completion rings with exactly `window` transfers in
-  //     flight, matching the ARQ window configured on both peers. At w=1 the
-  //     stream is stop-and-wait end to end: each datagram pays its sender
-  //     prepare, wire time, and ack turnaround serially. Wider windows let
+  //     flight, matching the ARQ window configured on both peers. At w=1
+  //     one frame is in flight at a time: each datagram pays its sender
+  //     prepare, wire time, and SACK turnaround serially. Wider windows let
   //     the ring drain prepare the next datagrams while earlier frames are
   //     on the wire and their SACKs are in flight, collapsing the per-datagram
   //     ack_wait gap. These rows report SIMULATED wire throughput

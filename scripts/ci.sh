@@ -101,18 +101,20 @@ if ! GENIE_FAULT_SEED=$ENTROPY_SEED ASAN_OPTIONS=detect_leaks=0 \
   print_flight_dumps
 fi
 
-echo "=== tier-1: lossy-link soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: lossy-link soak (-O2 + ASan, windows 1, 2 and 16) ==="
 # Fourth leg: the reliable-delivery stress harness (ARQ + semantics fallback
 # + transfer watchdogs under link drop/duplicate/reorder faults), run in both
-# build flavors and at both ARQ disciplines — GENIE_RELIABLE_WINDOW=1 is the
-# legacy stop-and-wait path, 16 the selective-repeat sliding window with SACK
-# trains and per-entry retransmit timers. Three pinned seeds gate each
-# (build, window) combination; a failing run leaves a flight-recorder dump in
-# $GENIE_FLIGHT_DIR and its path is printed below. One entropy seed per
-# window widens coverage under ASan without gating.
+# build flavors at three selective-repeat windows (GENIE_RELIABLE_WINDOW):
+# 1 keeps one frame in flight per channel, 2 is the narrowest window that
+# pipelines (outputs wait for admission behind an in-flight frame), and 16
+# a deep pipeline of SACK-acked frames with per-entry retransmit timers.
+# Three pinned seeds gate each (build, window) combination; a failing run
+# leaves a flight-recorder dump in $GENIE_FLIGHT_DIR and its path is printed
+# below. One entropy seed per window widens coverage under ASan without
+# gating.
 RELIABLE_FILTER='--gtest_filter=ReliableStressTest.SeededFaultSweepsDeliverExactlyOnce'
 for build_dir in build build-asan; do
-  for window in 1 16; do
+  for window in 1 2 16; do
     RELIABLE_BIN=$build_dir/tests/reliable_stress_test
     for seed in 7003 7071 7158; do
       echo "reliable-stress $build_dir window=$window fixed seed $seed"
@@ -126,7 +128,7 @@ for build_dir in build build-asan; do
   done
 done
 RELIABLE_BIN=build-asan/tests/reliable_stress_test
-for window in 1 16; do
+for window in 1 2 16; do
   ENTROPY_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
   echo "reliable-stress entropy seed $ENTROPY_SEED window=$window (replay: GENIE_RELIABLE_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window $RELIABLE_BIN $RELIABLE_FILTER)"
   if ! GENIE_RELIABLE_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window \
@@ -137,7 +139,7 @@ for window in 1 16; do
   fi
 done
 
-echo "=== tier-1: multi-tenant fabric soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: multi-tenant fabric soak (-O2 + ASan, windows 1, 2 and 16) ==="
 # Fifth leg: the switched-fabric workload soak — mixed closed/open-loop
 # tenants over a lossy star/dumbbell fabric with ARQ, golden payloads, and
 # quiescent VM invariants. Three pinned seeds gate each (build, window)
@@ -145,7 +147,7 @@ echo "=== tier-1: multi-tenant fabric soak (-O2 + ASan, stop-and-wait and window
 # seed per window widens coverage under ASan without gating.
 FABRIC_FILTER='--gtest_filter=FabricStressTest.LossySoakDeliversExactlyOnceAcrossSeeds'
 for build_dir in build build-asan; do
-  for window in 1 16; do
+  for window in 1 2 16; do
     FABRIC_BIN=$build_dir/tests/fabric_stress_test
     for seed in 9004 9087 9153; do
       echo "fabric-stress $build_dir window=$window fixed seed $seed"
@@ -159,7 +161,7 @@ for build_dir in build build-asan; do
   done
 done
 FABRIC_BIN=build-asan/tests/fabric_stress_test
-for window in 1 16; do
+for window in 1 2 16; do
   ENTROPY_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
   echo "fabric-stress entropy seed $ENTROPY_SEED window=$window (replay: GENIE_FABRIC_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window $FABRIC_BIN $FABRIC_FILTER)"
   if ! GENIE_FABRIC_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window \
@@ -191,20 +193,22 @@ for round in 1 2 3; do
 done
 timeout "$STRESS_BUDGET" build-tsan/tests/net_checksum_test
 
-echo "=== tier-1: crash/partition recovery soak (-O2 + ASan, stop-and-wait and windowed) ==="
+echo "=== tier-1: crash/partition recovery soak (-O2 + ASan, windows 1, 2 and 16) ==="
 # Seventh leg: crash-stop chaos — armed node crash/restart cycles plus fabric
 # partition/heal flaps over the multi-tenant workload, gating on exact
 # closed-loop accounting (every transfer completes or fails loudly with
 # kPeerCrashed/kGiveUp), quiescent VM invariants on every node including
 # rebooted ones, and epoch fencing actually firing. Three pinned seeds gate
 # each (build, window) combination — 11030 is the seed that first exposed the
-# TCOW free-while-wired bug, kept as a regression guard. Replay any failure
+# TCOW free-while-wired bug, kept as a regression guard; at window 2 it also
+# corrupts payloads if an output that waited for the window across a peer
+# reboot is delivered to the rebooted peer. Replay any failure
 # with GENIE_CRASH_SEED=<seed>; a failing seed leaves a flight-recorder dump
 # in $GENIE_FLIGHT_DIR. One entropy seed per window widens coverage under
 # ASan without gating.
 CRASH_FILTER='--gtest_filter=CrashRecoveryStressTest.CrashAndPartitionSoakKeepsAccountingExactAcrossSeeds'
 for build_dir in build build-asan; do
-  for window in 1 16; do
+  for window in 1 2 16; do
     CRASH_BIN=$build_dir/tests/crash_recovery_stress_test
     for seed in 11005 11030 11117; do
       echo "crash-stress $build_dir window=$window fixed seed $seed"
@@ -218,7 +222,7 @@ for build_dir in build build-asan; do
   done
 done
 CRASH_BIN=build-asan/tests/crash_recovery_stress_test
-for window in 1 16; do
+for window in 1 2 16; do
   ENTROPY_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
   echo "crash-stress entropy seed $ENTROPY_SEED window=$window (replay: GENIE_CRASH_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window $CRASH_BIN $CRASH_FILTER)"
   if ! GENIE_CRASH_SEED=$ENTROPY_SEED GENIE_RELIABLE_WINDOW=$window \

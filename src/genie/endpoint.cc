@@ -278,6 +278,7 @@ std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& a
   // this transfer produces — on either node — carries the same flow id.
   st->flow = node_->engine().NextFlowId();
   st->started_at = node_->engine().now();
+  st->peer_epoch = node_->reliable().PeerEpoch(channel_);
 
   ++stats_.outputs;
   ++pending_;
@@ -661,7 +662,7 @@ Task<void> Endpoint::TransmitAndDispose(std::shared_ptr<OutputState> st) {
       });
     }
     const ReliableDelivery::TxReport report = co_await reliable.TransmitReliably(
-        channel_, st->wire, st->header, st->tag, st->xfer, token, st->flow);
+        channel_, st->wire, st->header, st->tag, st->xfer, token, st->flow, st->peer_epoch);
     if (watching) {
       reliable.Unwatch(watch_id);
     }

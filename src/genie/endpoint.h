@@ -264,6 +264,10 @@ class Endpoint {
     std::string xfer;          // trace key: "out#<id>[<semantics>]"
     std::uint64_t flow = 0;    // causal flow id stamping this transfer's events
     SimTime started_at = 0;
+    // Peer incarnation this output is addressed to, as the reliable layer
+    // knew it when the output began. An output addressed to an incarnation
+    // that dies before the window admits it fails with kPeerCrashed.
+    std::uint32_t peer_epoch = 0;
     // Ring-submitted outputs: invoked exactly once with the final status —
     // at prepare failure, or after dispose (kOk, or kCancelled/kIoError when
     // delivery failed). Null for the plain Output() path.

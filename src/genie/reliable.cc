@@ -54,229 +54,30 @@ void ReliableDelivery::OnAck(std::uint64_t channel, std::uint64_t seq, bool ok) 
   } else {
     ++stats_.nacks;
   }
-  if (options_.window > 1) {
-    // Windowed mode still receives per-seq control cells for nacks (CRC
-    // failures, dropped frames) and duplicate re-acks; SACK trains carry the
-    // normal acknowledgement traffic (OnSack).
-    WindowEntry* entry = FindEntry(channel, seq);
-    if (entry != nullptr && ok && entry->result == WindowEntry::kGiveUp) {
-      // The ack landed in the same instant as the give-up verdict, before
-      // the owning coroutine consumed it: the frame WAS delivered, so the
-      // ack wins and the transfer completes (counted once, as delivered).
-      entry->result = WindowEntry::kAcked;
-      if (entry->token != nullptr) {
-        entry->token->resolved = true;
-      }
-      return;
-    }
-    if (entry == nullptr || entry->result != WindowEntry::kPending) {
-      ++stats_.stale_acks;
-      return;
-    }
-    if (ok) {
-      ResolveAcked(*entry);
-    } else {
-      timers_.Cancel(entry->timer);
-      RetransmitOrGiveUp(channel, seq, /*from_nack=*/true);
+  // Per-sequence cells carry nacks (CRC failures, dropped frames) and re-acks
+  // of suppressed duplicates; SACK trains carry the normal acknowledgement
+  // traffic (OnSack).
+  WindowEntry* entry = FindEntry(channel, seq);
+  if (entry != nullptr && ok && entry->result == WindowEntry::kGiveUp) {
+    // The ack landed in the same instant as the give-up verdict, before
+    // the owning coroutine consumed it: the frame WAS delivered, so the
+    // ack wins and the transfer completes (counted once, as delivered).
+    entry->result = WindowEntry::kAcked;
+    if (entry->token != nullptr) {
+      entry->token->resolved = true;
     }
     return;
   }
-  auto it = pending_acks_.find({channel, seq});
-  if (it == pending_acks_.end()) {
-    // Re-ack of a frame we already resolved (the receiver re-acks every
-    // suppressed duplicate so a lost ack cannot wedge the sender).
+  if (entry == nullptr || entry->result != WindowEntry::kPending) {
     ++stats_.stale_acks;
     return;
   }
-  PendingAck& pending = *it->second;
-  if (pending.outcome != PendingAck::kNone) {
-    if (ok && pending.outcome == PendingAck::kTimeout) {
-      // Ack and retransmit timer fired in the same instant with the timer's
-      // event first; the round is still unconsumed (the owner wakes via a
-      // zero-delay event), so the ack wins and the round completes.
-      pending.outcome = PendingAck::kAcked;
-      if (pending.token != nullptr) {
-        pending.token->resolved = true;
-      }
-    }
-    return;  // This round already resolved (e.g. ack racing the timeout).
+  if (ok) {
+    ResolveAcked(*entry);
+  } else {
+    timers_.Cancel(entry->timer);
+    RetransmitOrGiveUp(channel, seq, /*from_nack=*/true);
   }
-  pending.outcome = ok ? PendingAck::kAcked : PendingAck::kNacked;
-  if (ok && pending.token != nullptr) {
-    pending.token->resolved = true;
-  }
-  pending.event.Set();
-}
-
-Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
-    std::uint64_t channel, IoVec iov, std::uint32_t header, std::uint32_t tag, std::string label,
-    std::shared_ptr<CancelToken> token, std::uint64_t flow) {
-  GENIE_CHECK(options_.arq) << "TransmitReliably with ARQ disabled";
-  if (options_.window > 1) {
-    co_return co_await TransmitWindowed(channel, iov, header, tag, std::move(label),
-                                        std::move(token), flow);
-  }
-  TxReport report;
-  if (crashed_) {
-    report.outcome = TxOutcome::kPeerCrashed;
-    ++stats_.peer_crash_aborts;
-    co_return report;
-  }
-  if (!co_await AwaitResync(channel, token, label, flow)) {
-    report.outcome = TxOutcome::kCancelled;
-    ++stats_.cancelled_transmits;
-    co_return report;
-  }
-  if (crashed_) {
-    report.outcome = TxOutcome::kPeerCrashed;
-    ++stats_.peer_crash_aborts;
-    co_return report;
-  }
-  const std::uint64_t seq = ++next_seq_[channel];
-  ++stats_.sequenced_frames;
-
-  SimTime timeout = options_.initial_timeout;
-  PendingAck pending(*engine_);
-  pending.token = token;
-  const std::pair<std::uint64_t, std::uint64_t> key{channel, seq};
-  // Registered before the first transmit: with a delayed-completion fault on
-  // our side of the wire, the peer's ack can arrive while TransmitFrame is
-  // still running.
-  pending_acks_[key] = &pending;
-  if (token != nullptr) {
-    token->wake = &pending.event;
-  }
-
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    report.attempts = attempt + 1;
-    auto ctl = std::make_shared<TxControl>();
-    ctl->seq = seq;
-    ctl->src_epoch = local_epoch_;
-    ctl->dst_epoch = PeerEpoch(channel);
-    // A retransmitted frame re-occupies the slot its credit already paid
-    // for; acquiring again would double-spend and deadlock under loss.
-    ctl->skip_credit = attempt > 0;
-    if (token != nullptr) {
-      token->ctl = ctl;
-    }
-    co_await adapter_->TransmitFrame(channel, iov, header, tag, ctl, flow);
-    if (pending.outcome == PendingAck::kCrashed || crashed_) {
-      report.outcome = TxOutcome::kPeerCrashed;
-      ++stats_.peer_crash_aborts;
-      break;
-    }
-    if (ctl->aborted || (token != nullptr && token->cancelled)) {
-      report.outcome = TxOutcome::kCancelled;
-      ++stats_.cancelled_transmits;
-      break;
-    }
-    const SimTime attempt_end = engine_->now();
-    if (pending.outcome == PendingAck::kNone) {
-      pending.timer = timers_.ScheduleAfter(WithJitter(timeout), [this, key] {
-        auto it = pending_acks_.find(key);
-        if (it == pending_acks_.end() || it->second->outcome != PendingAck::kNone) {
-          return;
-        }
-        it->second->outcome = PendingAck::kTimeout;
-        it->second->event.Set();
-      });
-      co_await pending.event.Wait();
-      timers_.Cancel(pending.timer);
-    }
-    const PendingAck::Outcome outcome = pending.outcome;
-    pending.outcome = PendingAck::kNone;
-    pending.event.Reset();
-    if (trace_ != nullptr && engine_->now() > attempt_end) {
-      // Time parked between this attempt leaving the wire and its
-      // resolution (ack, nack, or timeout).
-      trace_->Span(xfer_track_, label + ".ack_wait", "reliable", attempt_end, engine_->now(),
-                   flow);
-    }
-
-    if (outcome == PendingAck::kAcked) {
-      if (ack_rtt_ != nullptr) {
-        ack_rtt_->Add(SimTimeToMicros(engine_->now() - attempt_end));
-      }
-      report.outcome = TxOutcome::kDelivered;
-      break;
-    }
-    if (outcome == PendingAck::kCrashed) {
-      report.outcome = TxOutcome::kPeerCrashed;
-      ++stats_.peer_crash_aborts;
-      break;
-    }
-    if (token != nullptr && token->cancelled) {
-      report.outcome = TxOutcome::kCancelled;
-      ++stats_.cancelled_transmits;
-      break;
-    }
-    if (attempt >= options_.max_retransmits) {
-      report.outcome = TxOutcome::kGiveUp;
-      ++stats_.giveups;
-      Instant(label + " giveup seq " + std::to_string(seq) + " after " +
-                  std::to_string(report.attempts) + " attempts",
-              flow);
-      break;
-    }
-    ++stats_.retransmits;
-    if (outcome == PendingAck::kTimeout) {
-      ++stats_.timeouts;
-      if (retransmit_delay_ != nullptr) {
-        retransmit_delay_->Add(SimTimeToMicros(engine_->now() - attempt_end));
-      }
-      Instant(label + " retransmit(timeout) seq " + std::to_string(seq) + " attempt " +
-                  std::to_string(attempt + 2),
-              flow);
-      timeout = std::min<SimTime>(
-          options_.max_timeout, static_cast<SimTime>(static_cast<double>(timeout) *
-                                                     std::max(1.0, options_.backoff_factor)));
-    } else {  // kNacked: receiver saw the frame but CRC failed.
-      Instant(label + " retransmit(nack) seq " + std::to_string(seq) + " attempt " +
-                  std::to_string(attempt + 2),
-              flow);
-      if (options_.nack_delay > 0) {
-        const SimTime delay_start = engine_->now();
-        co_await Delay(*engine_, options_.nack_delay);
-        if (trace_ != nullptr) {
-          trace_->Span(xfer_track_, label + ".nack_delay", "reliable", delay_start,
-                       engine_->now(), flow);
-        }
-      }
-      if (pending.outcome == PendingAck::kAcked) {
-        // A duplicate delivery got acked while we paused; done after all.
-        if (ack_rtt_ != nullptr) {
-          ack_rtt_->Add(SimTimeToMicros(engine_->now() - attempt_end));
-        }
-        report.outcome = TxOutcome::kDelivered;
-        break;
-      }
-      if (pending.outcome == PendingAck::kCrashed || crashed_) {
-        report.outcome = TxOutcome::kPeerCrashed;
-        ++stats_.peer_crash_aborts;
-        break;
-      }
-      if (token != nullptr && token->cancelled) {
-        report.outcome = TxOutcome::kCancelled;
-        ++stats_.cancelled_transmits;
-        break;
-      }
-      if (retransmit_delay_ != nullptr) {
-        retransmit_delay_->Add(SimTimeToMicros(engine_->now() - attempt_end));
-      }
-    }
-  }
-
-  pending_acks_.erase(key);
-  if (report.outcome == TxOutcome::kDelivered) {
-    ++stats_.delivered_frames;
-    stats_.delivered_bytes += iov.total_bytes();
-  }
-  if (token != nullptr) {
-    token->resolved = true;
-    token->wake = nullptr;
-    token->ctl.reset();
-  }
-  co_return report;
 }
 
 ReliableDelivery::WindowEntry* ReliableDelivery::FindEntry(std::uint64_t channel,
@@ -295,8 +96,8 @@ void ReliableDelivery::ResolveAcked(WindowEntry& entry) {
   if (trace_ != nullptr && entry.last_tx_end > 0 && now > entry.last_tx_end) {
     // The final ack_wait span of this transfer: last attempt off the wire to
     // ack arrival. Earlier attempts already emitted theirs when they timed
-    // out (RetransmitOrGiveUp), so the critical-path classifier sees the
-    // same per-flow shape as stop-and-wait.
+    // out (RetransmitOrGiveUp), so the critical-path classifier sees one
+    // ack_wait per attempt.
     trace_->Span(xfer_track_, entry.label + ".ack_wait", "reliable", entry.last_tx_end, now,
                  entry.flow);
   }
@@ -314,13 +115,15 @@ void ReliableDelivery::ResolveAcked(WindowEntry& entry) {
 
 void ReliableDelivery::OnSack(std::uint64_t channel, const std::vector<SackCell>& cells) {
   auto win = windows_.find(channel);
-  if (win == windows_.end() || cells.empty()) {
+  if (win == windows_.end()) {
+    ++stats_.stale_acks;  // Nothing was ever in flight on this channel.
     return;
   }
   // Resolve every pending entry the train covers. Entries are erased only by
   // their owning coroutine (woken here via done.Set()), so iterating the
   // live map is safe. Sequence numbers never wrap in practice (64-bit,
   // minted from 1), so plain comparisons suffice on the sender side.
+  bool resolved_any = false;
   for (auto& [seq, entry] : win->second->inflight) {
     if (entry->result != WindowEntry::kPending && entry->result != WindowEntry::kGiveUp) {
       continue;
@@ -336,6 +139,7 @@ void ReliableDelivery::OnSack(std::uint64_t channel, const std::vector<SackCell>
     if (!covered) {
       continue;
     }
+    resolved_any = true;
     if (entry->result == WindowEntry::kGiveUp) {
       // The SACK landed in the same instant as the give-up verdict, before
       // the owning coroutine consumed it: the frame WAS delivered, so the
@@ -349,6 +153,11 @@ void ReliableDelivery::OnSack(std::uint64_t channel, const std::vector<SackCell>
     }
     ++stats_.acks;
     ResolveAcked(*entry);
+  }
+  if (!resolved_any) {
+    // A late train: every frame it covers already retired (cancelled,
+    // crashed, or resolved by an earlier train).
+    ++stats_.stale_acks;
   }
 }
 
@@ -437,7 +246,7 @@ Task<void> ReliableDelivery::RetransmitEntry(std::uint64_t channel, std::uint64_
   auto ctl = std::make_shared<TxControl>();
   ctl->seq = seq;
   ctl->src_epoch = local_epoch_;
-  ctl->dst_epoch = PeerEpoch(channel);
+  ctl->dst_epoch = e->peer_epoch;
   // The lost original already spent this frame's flow-control credit;
   // acquiring again would double-spend and deadlock under loss.
   ctl->skip_credit = true;
@@ -459,9 +268,13 @@ Task<void> ReliableDelivery::RetransmitEntry(std::uint64_t channel, std::uint64_
   ArmEntryTimer(channel, seq);
 }
 
-Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitWindowed(
+Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
     std::uint64_t channel, IoVec iov, std::uint32_t header, std::uint32_t tag, std::string label,
-    std::shared_ptr<CancelToken> token, std::uint64_t flow) {
+    std::shared_ptr<CancelToken> token, std::uint64_t flow, std::uint32_t peer_epoch) {
+  GENIE_CHECK(options_.arq) << "TransmitReliably with ARQ disabled";
+  if (peer_epoch == 0) {
+    peer_epoch = PeerEpoch(channel);
+  }
   ++stats_.sequenced_frames;
   TxReport report;
   auto& win_slot = windows_[channel];
@@ -477,7 +290,12 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitWindowed(
   // the check-and-mint runs without suspension, so each admission sees its
   // predecessors' seqs.
   for (;;) {
-    if (crashed_) {
+    // A peer epoch that moved on since the output began means its
+    // addressee died (a fence arrived while this output was being prepared
+    // or waiting for the window): fail it before it gets a sequence number,
+    // or it would land in a buffer the new incarnation posted for a later
+    // transfer.
+    if (crashed_ || PeerEpoch(channel) != peer_epoch) {
       report.outcome = TxOutcome::kPeerCrashed;
       ++stats_.peer_crash_aborts;
       co_return report;
@@ -493,7 +311,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitWindowed(
         ++stats_.cancelled_transmits;
         co_return report;
       }
-      continue;  // Re-check crash/cancel/window from the top.
+      continue;  // Re-check crash/epoch/cancel/window from the top.
     }
     if (win.inflight.empty() ||
         next_seq_[channel] + 1 < win.inflight.begin()->first + options_.window) {
@@ -519,6 +337,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitWindowed(
   e->tag = tag;
   e->label = label;
   e->flow = flow;
+  e->peer_epoch = peer_epoch;
   e->token = token;
   e->timeout = options_.initial_timeout;
   e->attempts = 1;
@@ -530,7 +349,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitWindowed(
   auto ctl = std::make_shared<TxControl>();
   ctl->seq = seq;
   ctl->src_epoch = local_epoch_;
-  ctl->dst_epoch = PeerEpoch(channel);
+  ctl->dst_epoch = peer_epoch;
   e->ctl = ctl;
   if (token != nullptr) {
     token->ctl = ctl;
@@ -723,19 +542,9 @@ void ReliableDelivery::OnFence(std::uint64_t channel, std::uint32_t peer_epoch) 
 }
 
 void ReliableDelivery::AbortChannel(std::uint64_t channel) {
-  // Stop-and-wait rounds: resolve in place; the owning coroutine erases its
-  // own map entry when it consumes the verdict.
-  for (auto& [key, pending] : pending_acks_) {
-    if (key.first != channel) {
-      continue;
-    }
-    if (pending->outcome == PendingAck::kNone) {
-      pending->outcome = PendingAck::kCrashed;
-      pending->event.Set();
-    }
-  }
-  // Windowed entries: the map itself stays (owners and detached retransmits
-  // hold pointers into it); each entry resolves and its owner retires it.
+  // The map itself stays (owners and detached retransmits hold pointers into
+  // it); each entry resolves and its owner retires it. Stalled admissions
+  // wake when their predecessors retire and fail on the epoch check.
   auto win = windows_.find(channel);
   if (win != windows_.end()) {
     for (auto& [seq, entry] : win->second->inflight) {
@@ -822,16 +631,9 @@ void ReliableDelivery::Crash(std::uint32_t epoch) {
   GENIE_CHECK_GT(epoch, local_epoch_);
   crashed_ = true;
   local_epoch_ = epoch;
-  // Every in-flight round resolves as crashed; the owners observe the flag
+  // Every in-flight entry resolves as crashed; the owners observe the flag
   // when their zero-delay wake-ups run and report kPeerCrashed without
   // touching the wire again.
-  for (auto& [key, pending] : pending_acks_) {
-    if (pending->outcome == PendingAck::kNone) {
-      pending->outcome = PendingAck::kCrashed;
-    }
-    pending->event.Set();
-  }
-  pending_acks_.clear();  // Owner erasures of retired keys become no-ops.
   for (auto& [channel, win] : windows_) {
     for (auto& [seq, entry] : win->inflight) {
       if (entry->result == WindowEntry::kPending) {

@@ -3,28 +3,22 @@
 //
 // The adapter (src/net) gives at-most-once datagram service: frames can be
 // lost (link faults, no posted buffer), duplicated, reordered, or corrupted.
-// ReliableDelivery turns an output into exactly-once delivery with ARQ:
-// each frame carries a per-channel sequence number, the receiving adapter
-// acks (or nacks on CRC failure), and the sender retransmits on timeout with
-// exponential backoff plus deterministic jitter drawn from a seeded
-// SplitMix64. The receiver's dedup state absorbs the duplicates that
-// retransmission inevitably creates, so the host-visible stream is
-// exactly-once even though the wire is not.
-//
-// Two sender disciplines share that machinery, selected by
-// ReliableOptions::window:
-//   * window == 1 — stop-and-wait: one frame outstanding per transfer, one
-//     ack control cell per frame. This is the original discipline and its
-//     event schedule is bit-for-bit unchanged.
-//   * window  > 1 — selective repeat: up to `window` sequenced frames
-//     outstanding per channel. Each in-flight frame has its own retransmit
-//     timer; the receiver acknowledges with batched SACK cell trains
-//     (cumulative + bitmap, src/net/sack.h) so one control-cell train
-//     resolves many frames; frames are acked out of order and the send
-//     window slides over the acked prefix. A transfer that arrives while
-//     the window is full parks in an admission queue (traced as a
-//     `.window_stall` span). Both peers must be configured with the same
-//     window (Node::EnableReliableDelivery does this).
+// ReliableDelivery turns an output into exactly-once delivery with one ARQ
+// discipline, selective repeat: each frame carries a per-channel sequence
+// number, and up to ReliableOptions::window sequenced frames are outstanding
+// per channel (window 1 keeps one frame in flight per channel). Each
+// in-flight frame has its own retransmit timer with exponential backoff plus
+// deterministic jitter drawn from a seeded SplitMix64. The receiving adapter
+// acknowledges with batched SACK cell trains (cumulative + bitmap,
+// src/net/sack.h), so one control-cell train resolves every frame it covers;
+// nacks (CRC failures, dropped frames) and re-acks of suppressed duplicates
+// come back as per-sequence control cells. Frames are acked out of order and
+// the send window slides over the acked prefix. A transfer that arrives
+// while the window is full parks in an admission queue (traced as a
+// `.window_stall` span). The receiver's dedup state absorbs the duplicates
+// that retransmission inevitably creates, so the host-visible stream is
+// exactly-once even though the wire is not. Both peers must be configured
+// with the same window (Node::EnableReliableDelivery does this).
 //
 // The watchdog is a periodic scan over registered in-flight transfers. A
 // transfer stuck past the deadline (delayed-completion fault, credit
@@ -64,9 +58,9 @@ namespace genie {
 struct ReliableOptions {
   // ARQ: sequence outputs and retransmit until acked (or give up).
   bool arq = false;
-  // Selective-repeat send window, in frames per channel. 1 = stop-and-wait
-  // (the legacy discipline, goldens unchanged); >1 pipelines up to `window`
-  // sequenced frames per channel with SACK acknowledgement.
+  // Selective-repeat send window: sequenced frames in flight per channel,
+  // each acknowledged by a SACK train. 1 sends one frame per channel at a
+  // time; wider windows pipeline up to `window` frames.
   std::uint32_t window = 1;
   std::uint32_t max_retransmits = 8;   // give up after this many retries
   SimTime initial_timeout = 2 * kMillisecond;
@@ -104,7 +98,7 @@ class ReliableDelivery {
 
   // Shared between the transmitting coroutine and the watchdog's cancel
   // callback; lets the watchdog abort a transfer wherever it is parked
-  // (credit wait, wire, ack wait, nack delay).
+  // (window admission, credit wait, wire, ack wait, nack delay).
   struct CancelToken {
     bool cancelled = false;
     // Set the moment the transfer reaches a successful resolution (ack/SACK
@@ -130,7 +124,7 @@ class ReliableDelivery {
     std::uint64_t nacks = 0;
     std::uint64_t giveups = 0;
     std::uint64_t cancelled_transmits = 0;
-    std::uint64_t stale_acks = 0;  // ack/nack with no pending entry
+    std::uint64_t stale_acks = 0;  // ack/nack or SACK train resolving no entry
     std::uint64_t fallbacks = 0;   // semantics downgrades (endpoint-reported)
     std::uint64_t watchdog_scans = 0;
     std::uint64_t watchdog_cancels = 0;
@@ -155,9 +149,15 @@ class ReliableDelivery {
   // `iov`'s backing pages alive (and unmutated) until this returns — the
   // retransmit re-reads them. `flow` (optional) stamps every trace record
   // this transmission produces with the transfer's causal flow id.
+  // `peer_epoch` is the peer incarnation the output is addressed to
+  // (PeerEpoch(channel) when the output began; 0 = the epoch at entry). If
+  // the peer's epoch has moved on by the time the window admits the frame,
+  // the output fails with kPeerCrashed without touching the wire: it was
+  // addressed to an incarnation that no longer exists.
   Task<TxReport> TransmitReliably(std::uint64_t channel, IoVec iov, std::uint32_t header,
                                   std::uint32_t tag, std::string label,
-                                  std::shared_ptr<CancelToken> token, std::uint64_t flow = 0);
+                                  std::shared_ptr<CancelToken> token, std::uint64_t flow = 0,
+                                  std::uint32_t peer_epoch = 0);
 
   // Registers an in-flight transfer with the watchdog. `on_expire` runs from
   // the scan when the transfer overstays watchdog_timeout; kBusy verdicts
@@ -190,8 +190,8 @@ class ReliableDelivery {
 
   // --- Crash-stop & epoch fencing ---
   //
-  // Crash-stop of the owning node: every in-flight stop-and-wait round and
-  // window entry resolves as kPeerCrashed, watchdog registrations are wiped,
+  // Crash-stop of the owning node: every in-flight window entry and stalled
+  // admission resolves as kPeerCrashed, watchdog registrations are wiped,
   // and open resync barriers release so parked transfers unwind through the
   // normal failure paths. `epoch` is the node's new incarnation (strictly
   // increasing). Sequence numbers are NOT reset — they are monotonic across
@@ -209,24 +209,13 @@ class ReliableDelivery {
   bool Resyncing(std::uint64_t channel) const;
 
  private:
-  struct PendingAck {
-    explicit PendingAck(Engine& engine) : event(engine) {}
-    enum Outcome : std::uint8_t { kNone, kAcked, kNacked, kTimeout, kCrashed };
-    Outcome outcome = kNone;
-    SimEvent event;
-    TimerSet::Handle timer = 0;
-    // Lets the ack handler mark the transfer resolved the instant the final
-    // ack arrives, before the owning coroutine has been resumed.
-    std::shared_ptr<CancelToken> token;
-  };
-
   struct Watched {
     std::string label;
     std::function<WatchVerdict()> on_expire;
     SimTime deadline = 0;
   };
 
-  // One in-flight sequenced frame of a selective-repeat window. Owned by
+  // One in-flight sequenced frame of a channel's send window. Owned by
   // the channel's window map; the transmitting coroutine, the per-entry
   // retransmit coroutine, and the SACK handler all reach it through the
   // (channel, seq) key. The entry is only erased by the transmitting
@@ -240,6 +229,7 @@ class ReliableDelivery {
     std::uint32_t tag = 0;
     std::string label;
     std::uint64_t flow = 0;
+    std::uint32_t peer_epoch = 0;  // incarnation every attempt is addressed to
     std::shared_ptr<CancelToken> token;
     std::shared_ptr<TxControl> ctl;  // latest attempt on the wire
     std::uint32_t attempts = 0;      // transmissions actually performed
@@ -251,7 +241,7 @@ class ReliableDelivery {
     SimEvent done;                // set on resolution and on retransmit drain
   };
 
-  // Per-channel selective-repeat send window (window > 1 only).
+  // Per-channel selective-repeat send window.
   struct ChannelWindow {
     explicit ChannelWindow(Engine& engine) : open(engine) {}
     std::map<std::uint64_t, std::unique_ptr<WindowEntry>> inflight;  // by seq
@@ -277,13 +267,12 @@ class ReliableDelivery {
     return options;
   }
 
+  // Per-sequence control cell from the peer: a nack, or a re-ack of a
+  // suppressed duplicate.
   void OnAck(std::uint64_t channel, std::uint64_t seq, bool ok);
   SimTime WithJitter(SimTime timeout);
 
-  // --- Selective-repeat window machinery (options_.window > 1) ---
-  Task<TxReport> TransmitWindowed(std::uint64_t channel, IoVec iov, std::uint32_t header,
-                                  std::uint32_t tag, std::string label,
-                                  std::shared_ptr<CancelToken> token, std::uint64_t flow);
+  // --- Selective-repeat window machinery ---
   // Batched SACK train from the peer: resolves every covered in-flight entry.
   void OnSack(std::uint64_t channel, const std::vector<SackCell>& cells);
   WindowEntry* FindEntry(std::uint64_t channel, std::uint64_t seq);
@@ -301,7 +290,7 @@ class ReliableDelivery {
   // Fence cell from the peer adapter: the peer rebooted into `peer_epoch`.
   void OnFence(std::uint64_t channel, std::uint32_t peer_epoch);
   void OnResyncAck(std::uint64_t channel, std::uint32_t peer_epoch);
-  // Resolves every in-flight round/entry on `channel` as kCrashed.
+  // Resolves every in-flight entry on `channel` as kCrashed.
   void AbortChannel(std::uint64_t channel);
   void StartResync(std::uint64_t channel);
   void SendResyncAttempt(std::uint64_t channel);
@@ -324,7 +313,6 @@ class ReliableDelivery {
   Stats stats_;
 
   std::map<std::uint64_t, std::uint64_t> next_seq_;  // channel -> last used
-  std::map<std::pair<std::uint64_t, std::uint64_t>, PendingAck*> pending_acks_;
   std::map<std::uint64_t, std::unique_ptr<ChannelWindow>> windows_;
 
   std::uint32_t local_epoch_ = 1;  // this node's incarnation (bumped on crash)

@@ -665,13 +665,11 @@ void Adapter::BeginRxFrame(std::uint64_t channel, std::uint32_t header, std::uin
   if (seq != 0) {
     // ARQ duplicate suppression: a sequence number already delivered to the
     // host is discarded without consuming a buffer (the ack got lost or beat
-    // the sender's timeout; re-acked at EndRxFrame). The windowed receiver
-    // additionally recognizes anything at or below the cumulative mark, so
-    // detection never depends on how deep the seen-set prune reaches.
+    // the sender's timeout; re-acked at EndRxFrame). Anything at or below
+    // the cumulative mark, or accepted out of order above it, is a duplicate.
     auto dedup = rx_dedup_.find(channel);
     if (dedup != rx_dedup_.end() &&
-        ((arq_window_ > 1 && seq <= dedup->second.cum) ||
-         dedup->second.seen.count(seq) != 0)) {
+        (seq <= dedup->second.cum || dedup->second.seen.count(seq) != 0)) {
       rx_->duplicate = true;
       return;
     }
@@ -884,53 +882,38 @@ void Adapter::EndRxFrame(bool crc_ok) {
     ++rx_truncated_frames_;
   }
   if (rx.seq != 0) {
+    // Accept: advance the cumulative mark over any now-contiguous prefix;
+    // out-of-order accepts wait above it in the seen-set (bounded by the
+    // sender's window, and recorded forever via `cum` once the prefix
+    // closes). The ack rides the next batched SACK flush.
     RxDedup& dedup = rx_dedup_[rx.channel];
     dedup.max_seq = std::max(dedup.max_seq, rx.seq);
-    if (arq_window_ > 1) {
-      // Windowed accept: advance the cumulative mark over any now-contiguous
-      // prefix; out-of-order accepts wait above it in the seen-set (bounded
-      // by the sender's window, and recorded forever via `cum` once the
-      // prefix closes). The ack rides the next batched SACK flush.
-      if (rx.seq == dedup.cum + 1) {
-        dedup.cum = rx.seq;
-        while (!dedup.seen.empty() && *dedup.seen.begin() == dedup.cum + 1) {
-          dedup.seen.erase(dedup.seen.begin());
-          ++dedup.cum;
-        }
-      } else if (rx.seq > dedup.cum) {
-        dedup.seen.insert(rx.seq);
+    if (rx.seq == dedup.cum + 1) {
+      dedup.cum = rx.seq;
+      while (!dedup.seen.empty() && *dedup.seen.begin() == dedup.cum + 1) {
+        dedup.seen.erase(dedup.seen.begin());
+        ++dedup.cum;
       }
-      // Dead-hole reclamation: the sender's live window spans at most
-      // `arq_window_` seqs, so a gap more than two windows below the newest
-      // accepted frame can no longer be filled (that sender gave up or was
-      // cancelled). Jump the cumulative mark over it rather than letting the
-      // out-of-order set grow without bound.
-      const std::uint64_t horizon = 2ull * arq_window_;
-      if (dedup.max_seq > horizon && dedup.cum < dedup.max_seq - horizon) {
-        dedup.cum = dedup.max_seq - horizon;
-        while (!dedup.seen.empty() && *dedup.seen.begin() <= dedup.cum) {
-          dedup.seen.erase(dedup.seen.begin());
-        }
-        while (!dedup.seen.empty() && *dedup.seen.begin() == dedup.cum + 1) {
-          dedup.seen.erase(dedup.seen.begin());
-          ++dedup.cum;
-        }
-      }
-      ScheduleSackFlush(rx.channel);
-    } else {
-      // Stop-and-wait accept: record the sequence number so replays are
-      // suppressed, and prune the seen-set behind the newest frame. The
-      // retention depth derives from the configured window (floor 128 keeps
-      // the legacy behavior): retransmissions never lag further than the
-      // sender's bounded retry horizon.
-      const std::uint64_t prune_depth = std::max<std::uint64_t>(128, 2ull * arq_window_);
+    } else if (rx.seq > dedup.cum) {
       dedup.seen.insert(rx.seq);
-      while (!dedup.seen.empty() && dedup.max_seq > prune_depth &&
-             *dedup.seen.begin() < dedup.max_seq - prune_depth) {
+    }
+    // Dead-hole reclamation: the sender's live window spans at most
+    // `arq_window_` seqs, so a gap more than two windows below the newest
+    // accepted frame can no longer be filled (that sender gave up or was
+    // cancelled). Jump the cumulative mark over it rather than letting the
+    // out-of-order set grow without bound.
+    const std::uint64_t horizon = 2ull * arq_window_;
+    if (dedup.max_seq > horizon && dedup.cum < dedup.max_seq - horizon) {
+      dedup.cum = dedup.max_seq - horizon;
+      while (!dedup.seen.empty() && *dedup.seen.begin() <= dedup.cum) {
         dedup.seen.erase(dedup.seen.begin());
       }
-      SendAck(rx.channel, rx.seq, true, rx.flow);
+      while (!dedup.seen.empty() && *dedup.seen.begin() == dedup.cum + 1) {
+        dedup.seen.erase(dedup.seen.begin());
+        ++dedup.cum;
+      }
     }
+    ScheduleSackFlush(rx.channel);
   }
   if (trace_ != nullptr) {
     trace_->Instant(name_ + ".wire",

@@ -239,25 +239,26 @@ class Adapter {
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
   // --- Reliable layer (ARQ) hooks ---
-  // Invoked on *this* (sending) adapter when the peer acks (ok) or nacks a
-  // sequenced frame, one control-cell latency after the peer's decision.
+  // Invoked on *this* (sending) adapter when the peer nacks a sequenced
+  // frame (CRC failure, no buffer) or re-acks (ok) a suppressed duplicate,
+  // one control-cell latency after the peer's decision. Accepted frames are
+  // acknowledged by SACK trains instead (set_sack_handler).
   void set_ack_handler(std::function<void(std::uint64_t, std::uint64_t, bool)> handler) {
     ack_handler_ = std::move(handler);
   }
 
   // Configures the receive side for a selective-repeat sender window of `w`
-  // frames. At the default w=1 the adapter acks per frame and dedups with
-  // the legacy seen-set, preserving stop-and-wait behavior exactly. For
-  // w>1 it switches to cumulative+bitmap (SACK) acknowledgement: accepted
-  // frames advance a per-channel cumulative mark, out-of-order accepts are
-  // tracked above it, and one batched SACK cell train per control-cell
-  // latency acknowledges everything at once. Both peers of a reliable
-  // channel must be configured with the same window.
+  // frames (default 1). Acknowledgement is cumulative+bitmap (SACK) at every
+  // window: accepted frames advance a per-channel cumulative mark,
+  // out-of-order accepts are tracked above it, and one batched SACK cell
+  // train per control-cell latency acknowledges everything at once. The
+  // window sets the dead-hole horizon (2w below the newest accept). Both
+  // peers of a reliable channel must be configured with the same window.
   void set_arq_window(std::uint32_t w) { arq_window_ = w == 0 ? 1 : w; }
   std::uint32_t arq_window() const { return arq_window_; }
 
   // Invoked on *this* (sending) adapter when the peer flushes a batched
-  // SACK train for `channel` (windowed mode only).
+  // SACK train for `channel`.
   void set_sack_handler(std::function<void(std::uint64_t, std::vector<SackCell>)> handler) {
     sack_handler_ = std::move(handler);
   }
@@ -331,9 +332,10 @@ class Adapter {
   std::uint64_t rx_truncated_frames() const { return rx_truncated_frames_; }
   // Sequenced frames suppressed by receive-side duplicate detection.
   std::uint64_t rx_duplicate_frames() const { return rx_duplicate_frames_; }
+  // Ack cells: SACK cells plus duplicate re-acks.
   std::uint64_t acks_sent() const { return acks_sent_; }
   std::uint64_t nacks_sent() const { return nacks_sent_; }
-  // Windowed mode: batched SACK trains flushed / total cells they carried.
+  // Batched SACK trains flushed / total cells they carried.
   std::uint64_t sack_flushes() const { return sack_flushes_; }
   std::uint64_t sack_cells_sent() const { return sack_cells_sent_; }
   // Injected link faults observed on this adapter's transmit side.
@@ -399,15 +401,14 @@ class Adapter {
     std::vector<std::byte> bytes;
   };
 
-  // ARQ receive-side duplicate suppression state, one window per channel.
-  // Stop-and-wait (window=1) uses `seen` alone with a bounded prune; the
-  // windowed receiver adds `cum` (every seq <= cum accepted) so `seen` only
-  // holds out-of-order accepts above it and old duplicates are recognized
-  // no matter how far the window has advanced.
+  // ARQ receive-side duplicate suppression state, one per channel. `cum`
+  // (every seq <= cum accepted or abandoned) recognizes old duplicates no
+  // matter how far the window has advanced; `seen` only holds out-of-order
+  // accepts above it, at most a window's worth.
   struct RxDedup {
     std::uint64_t max_seq = 0;
-    std::uint64_t cum = 0;  // windowed mode: highest contiguously-accepted seq
-    std::set<std::uint64_t> seen;
+    std::uint64_t cum = 0;  // highest contiguously-accepted seq
+    std::set<std::uint64_t> seen;  // accepted out of order, all > cum
     // Highest sender incarnation epoch seen on this channel (0 = none yet).
     // Sequence numbers are monotonic across sender incarnations, so a frame
     // from a lower epoch is always a stale duplicate.
@@ -454,8 +455,9 @@ class Adapter {
     return control_peer_fn_ ? control_peer_fn_(channel) : peer_;
   }
 
-  // Schedules an ack (ok) / nack control cell back to the sending peer.
-  // Cells are stamped with the acking node's epoch.
+  // Schedules a per-sequence control cell back to the sending peer: a nack,
+  // or a re-ack (ok) of a suppressed duplicate. Cells are stamped with the
+  // acking node's epoch.
   void SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow);
   void OnAckCell(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint32_t acker_epoch);
 
@@ -468,9 +470,9 @@ class Adapter {
   // True when `cell_epoch` is from a dead incarnation of the channel peer.
   bool StaleCellEpoch(std::uint64_t channel, std::uint32_t cell_epoch) const;
 
-  // Windowed mode: arms (at most one per channel) a batched SACK flush one
-  // control-cell latency out; the flush snapshots the dedup state then and
-  // delivers one cell train covering every frame accepted meanwhile.
+  // Arms (at most one per channel) a batched SACK flush one control-cell
+  // latency out; the flush snapshots the dedup state then and delivers one
+  // cell train covering every frame accepted meanwhile.
   void ScheduleSackFlush(std::uint64_t channel);
   void FlushSack(std::uint64_t channel);
   void OnSackCells(std::uint64_t channel, std::vector<SackCell> cells,

@@ -8,8 +8,12 @@
 //
 // Replay one seed with
 //   GENIE_CRASH_SEED=<seed> ./crash_recovery_stress_test
-// Sweep the selective-repeat window (CI runs {1, 16}) with
+// Sweep the selective-repeat window (CI runs {1, 2, 16}) with
 //   GENIE_RELIABLE_WINDOW=<w> ./crash_recovery_stress_test
+// A fixed sweep of the first 50 seeds at windows {2, 4} always runs too:
+// narrow windows keep outputs waiting for admission across peer reboots,
+// which is where an output addressed to a dead incarnation could slip
+// through.
 #include <cstdlib>
 #include <sstream>
 
@@ -43,7 +47,7 @@ std::uint32_t SoakWindow() {
   return window;
 }
 
-WorkloadConfig SoakConfig(std::uint64_t seed) {
+WorkloadConfig SoakConfig(std::uint64_t seed, std::uint32_t window) {
   WorkloadConfig cfg;
   cfg.seed = seed;
   cfg.nodes = 4;
@@ -55,7 +59,7 @@ WorkloadConfig SoakConfig(std::uint64_t seed) {
 
   ReliableOptions rel;
   rel.arq = true;
-  rel.window = SoakWindow();
+  rel.window = window;
   rel.seed = seed ^ 0xa5c3a5c3a5c3a5c3ULL;
   // A real watchdog: inputs orphaned by a peer crash or a partition that
   // outlasts the retry budget must be reclaimed, not parked forever.
@@ -113,10 +117,10 @@ struct SoakOutcome {
   std::vector<std::string> violations;
 };
 
-SoakOutcome RunSoak(std::uint64_t seed) {
+SoakOutcome RunSoak(std::uint64_t seed, std::uint32_t window = SoakWindow()) {
   SoakOutcome out;
   Engine engine;
-  const WorkloadConfig cfg = SoakConfig(seed);
+  const WorkloadConfig cfg = SoakConfig(seed, window);
   Workload wl(engine, cfg);
 
   // One deterministic fault plan shared by every node: background link loss
@@ -186,6 +190,14 @@ SoakOutcome RunSoak(std::uint64_t seed) {
   return out;
 }
 
+std::string Describe(const SoakOutcome& out) {
+  std::ostringstream all;
+  for (const std::string& v : out.violations) {
+    all << "  " << v << "\n";
+  }
+  return all.str();
+}
+
 TEST(CrashRecoveryStressTest, CrashAndPartitionSoakKeepsAccountingExactAcrossSeeds) {
   std::uint64_t first = kFirstSeed;
   int count = kSeedCount;
@@ -201,14 +213,7 @@ TEST(CrashRecoveryStressTest, CrashAndPartitionSoakKeepsAccountingExactAcrossSee
     const std::uint64_t seed = first + static_cast<std::uint64_t>(i);
     const SoakOutcome out = RunSoak(seed);
     ASSERT_TRUE(out.violations.empty())
-        << "replay with GENIE_CRASH_SEED=" << seed << "\n"
-        << [&] {
-             std::ostringstream all;
-             for (const std::string& v : out.violations) {
-               all << "  " << v << "\n";
-             }
-             return all.str();
-           }();
+        << "replay with GENIE_CRASH_SEED=" << seed << "\n" << Describe(out);
     total.completed += out.completed;
     total.failed += out.failed;
     total.retransmits += out.retransmits;
@@ -257,6 +262,23 @@ TEST(CrashRecoveryStressTest, CrashAndPartitionSoakKeepsAccountingExactAcrossSee
     EXPECT_GT(total.stale_epoch_drops, 0u);
     // Chaos is bounded: most transfers still complete across the sweep.
     EXPECT_GT(total.completed, total.failed);
+  }
+}
+
+// Windows 2 and 4 over the first 50 seeds, whatever GENIE_RELIABLE_WINDOW
+// says: an output waiting for the window while its peer reboots must fail
+// once the fence arrives, not take a fresh sequence number and land in a
+// buffer the new incarnation posted for a later transfer (a corrupt
+// payload in the closed-loop accounting).
+TEST(CrashRecoveryStressTest, NarrowWindowsNeverDeliverToARebootedPeer) {
+  for (const std::uint32_t window : {2u, 4u}) {
+    for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + 50; ++seed) {
+      const SoakOutcome out = RunSoak(seed, window);
+      ASSERT_TRUE(out.violations.empty())
+          << "replay with GENIE_CRASH_SEED=" << seed << " GENIE_RELIABLE_WINDOW=" << window
+          << "\n"
+          << Describe(out);
+    }
   }
 }
 

@@ -9,6 +9,10 @@
 //     handshake, and the next transfer flows under the new incarnation;
 //   * crashed nodes fail new I/O fast without touching the VM, and the first
 //     post-restart contact performs epoch discovery (fence, resync, resume);
+//   * outputs started while the receiver is down fail with kPeerCrashed once
+//     the fence reveals its new incarnation, including outputs still waiting
+//     for the send window, so none lands in a buffer the rebooted receiver
+//     posted for a later transfer;
 //   * seeded crash injection (FaultSite::kNodeCrash) crash-stops and restarts
 //     a node on schedule, deterministically;
 //   * a dumbbell trunk partition that heals inside the ARQ retry budget
@@ -35,9 +39,10 @@ constexpr std::uint64_t kBigLen = 60 * 1024;
 constexpr Vaddr kSrc = 0x20000000;
 constexpr Vaddr kDst = 0x30000000;
 
-ReliableOptions CrashArq() {
+ReliableOptions CrashArq(std::uint32_t window) {
   ReliableOptions opts;
   opts.arq = true;
+  opts.window = window;
   opts.jitter_frac = 0.0;  // deterministic retransmit timeline
   opts.initial_timeout = 2 * kMillisecond;
   opts.max_timeout = 8 * kMillisecond;
@@ -45,9 +50,9 @@ ReliableOptions CrashArq() {
 }
 
 struct CrashRig : Rig {
-  CrashRig() : Rig() {
-    sender.EnableReliableDelivery(CrashArq());
-    receiver.EnableReliableDelivery(CrashArq());
+  explicit CrashRig(std::uint32_t window = 1) : Rig() {
+    sender.EnableReliableDelivery(CrashArq(window));
+    receiver.EnableReliableDelivery(CrashArq(window));
     tx_app.CreateRegion(kSrc, 16 * kPage, RegionState::kUnmovable);
     rx_app.CreateRegion(kDst, 16 * kPage);
   }
@@ -178,6 +183,67 @@ TEST(CrashRecoveryTest, CrashedNodesFailFastAndFirstContactPerformsEpochDiscover
   EXPECT_EQ(rig.sender.epoch(), 2u);
   EXPECT_EQ(rig.receiver.epoch(), 2u);
   rig.ExpectQuiescent();
+}
+
+TEST(CrashRecoveryTest, OutputsAddressedToDeadIncarnationFailEvenBeforeWindowAdmitsThem) {
+  auto post_input = [](Endpoint& ep, AddressSpace& app, InputResult* out) -> Task<void> {
+    *out = co_await ep.Input(app, kDst, kPage, Semantics::kEmulatedCopy);
+  };
+  auto drain = [](Endpoint& ep) -> Task<void> { co_await ep.Drain(); };
+  for (const std::uint32_t window : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "window " << window);
+    CrashRig rig(window);
+    rig.receiver.Crash();
+
+    // Three outputs started while the receiver is down: the window admits
+    // the first `window` of them (their frames die with the dead node, and
+    // their retransmits after the restart are fenced); the rest wait.
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      const Vaddr src = kSrc + i * kPage;
+      GENIE_CHECK(rig.tx_app.Write(src, TestPattern(kPage, static_cast<unsigned char>(11 + i))) ==
+                  AccessResult::kOk);
+      Endpoint::SubmitEntry entry;
+      entry.op = Endpoint::SubmitEntry::Op::kOutput;
+      entry.app = &rig.tx_app;
+      entry.va = src;
+      entry.len = kPage;
+      entry.sem = Semantics::kEmulatedCopy;
+      entry.user_data = i;
+      ASSERT_TRUE(rig.tx_ep.Submit(entry));
+    }
+    std::move(drain(rig.tx_ep)).Detach();
+    // The rebooted receiver posts a fresh buffer for its next transfer.
+    InputResult fresh;
+    rig.engine.ScheduleAt(3 * kMillisecond, [&] {
+      rig.receiver.Restart();
+      std::move(post_input(rig.rx_ep, rig.rx_app, &fresh)).Detach();
+    });
+    rig.engine.Run();
+
+    // Every output was addressed to the dead incarnation, so every one fails
+    // loudly, the one the window had not admitted when the fence arrived
+    // included.
+    std::vector<Endpoint::Completion> done;
+    ASSERT_EQ(rig.tx_ep.Harvest(&done), 3u);
+    for (const Endpoint::Completion& c : done) {
+      EXPECT_EQ(c.status, IoStatus::kPeerCrashed) << "output " << c.user_data;
+    }
+    const ReliableDelivery::Stats& rel = rig.sender.reliable().stats();
+    EXPECT_EQ(rel.epoch_bumps, 1u);
+    EXPECT_EQ(rel.peer_crash_aborts, 3u);
+    EXPECT_EQ(rig.sender.reliable().PeerEpoch(1), 2u);
+    EXPECT_FALSE(rig.sender.reliable().Resyncing(1));
+
+    // The fresh buffer receives the fresh output, not a stale one.
+    const Vaddr src = kSrc + 3 * kPage;
+    GENIE_CHECK(rig.tx_app.Write(src, TestPattern(kPage, 14)) == AccessResult::kOk);
+    std::move(rig.tx_ep.Output(rig.tx_app, src, kPage, Semantics::kEmulatedCopy)).Detach();
+    rig.engine.Run();
+    ASSERT_TRUE(fresh.ok);
+    EXPECT_EQ(rig.ReadBack(kDst, kPage), TestPattern(kPage, 14));
+    EXPECT_EQ(rig.tx_ep.stats().failed_outputs, 3u);
+    rig.ExpectQuiescent();
+  }
 }
 
 TEST(CrashRecoveryTest, ArmedCrashInjectionCrashesAndRestartsOnSchedule) {

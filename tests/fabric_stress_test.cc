@@ -7,7 +7,7 @@
 //
 // Replay one seed with
 //   GENIE_FABRIC_SEED=<seed> ./fabric_stress_test
-// Sweep the selective-repeat window (CI runs {1, 16}) with
+// Sweep the selective-repeat window (CI runs {1, 2, 16}) with
 //   GENIE_RELIABLE_WINDOW=<w> ./fabric_stress_test
 #include <cstdlib>
 #include <fstream>

@@ -432,6 +432,11 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
     acks.push_back({ch, seq, ok});
   });
+  std::vector<std::vector<SackCell>> sacks;
+  tx->set_sack_handler([&](std::uint64_t ch, std::vector<SackCell> cells) {
+    EXPECT_EQ(ch, 5u);
+    sacks.push_back(std::move(cells));
+  });
 
   const IoVec src = MakeBuffer(kPage, 7);
   const IoVec dst1 = MakeBuffer(kPage, 0);
@@ -448,9 +453,11 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   std::move(tx->TransmitFrame(5, src, 0, 0, ctl)).Detach();
   eng_.Run();
   EXPECT_EQ(completions, 1);
-  ASSERT_EQ(acks.size(), 1u);
-  EXPECT_TRUE(acks[0].ok);
-  EXPECT_EQ(acks[0].seq, 1u);
+  // The accept is acknowledged by one SACK train, cumulative through seq 1.
+  ASSERT_EQ(sacks.size(), 1u);
+  ASSERT_EQ(sacks[0].size(), 1u);
+  EXPECT_EQ(sacks[0][0].cum, 1u);
+  EXPECT_TRUE(acks.empty());
 
   // Retransmission of the same sequence number (as after a lost ack): the
   // receive side suppresses it without consuming the second posted buffer,
@@ -463,8 +470,10 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(rx->rx_duplicate_frames(), 1u);
   EXPECT_EQ(rx->posted_receives(5), 1u);
-  ASSERT_EQ(acks.size(), 2u);
-  EXPECT_TRUE(acks[1].ok);
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_TRUE(acks[0].ok);
+  EXPECT_EQ(acks[0].seq, 1u);
+  EXPECT_EQ(sacks.size(), 1u);  // the duplicate arms no SACK flush
   EXPECT_EQ(rx->acks_sent(), 2u);
 }
 
@@ -486,6 +495,11 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
     acks.push_back({ch, seq, ok});
   });
+  std::vector<std::vector<SackCell>> sacks;
+  tx->set_sack_handler([&](std::uint64_t ch, std::vector<SackCell> cells) {
+    EXPECT_EQ(ch, 2u);
+    sacks.push_back(std::move(cells));
+  });
 
   const IoVec src = MakeBuffer(kPage, 3);
   const IoVec dst = MakeBuffer(kPage, 0);
@@ -505,6 +519,7 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_FALSE(acks[0].ok);
   EXPECT_EQ(rx->nacks_sent(), 1u);
+  EXPECT_TRUE(sacks.empty());
 
   // Retransmission (same seq, clean wire) lands in the restored buffer.
   auto ctl2 = std::make_shared<TxControl>();
@@ -515,8 +530,11 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   ASSERT_TRUE(completion.has_value());
   EXPECT_TRUE(completion->crc_ok);
   EXPECT_EQ(completion->seq, 1u);
-  ASSERT_EQ(acks.size(), 2u);
-  EXPECT_TRUE(acks[1].ok);
+  // The accept is acknowledged by one SACK train, cumulative through seq 1.
+  EXPECT_EQ(acks.size(), 1u);
+  ASSERT_EQ(sacks.size(), 1u);
+  ASSERT_EQ(sacks[0].size(), 1u);
+  EXPECT_EQ(sacks[0][0].cum, 1u);
 
   std::vector<std::byte> sent(kPage);
   std::vector<std::byte> got(kPage);

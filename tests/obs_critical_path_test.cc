@@ -5,6 +5,7 @@
 // ARQ on, lossless and with a deterministic first-frame drop per transfer.
 #include "src/obs/critical_path.h"
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +107,31 @@ TEST(CriticalPathTest, AnalyzerJsonIsByteIdenticalAcrossRuns) {
   const ScenarioResult lossy_b = RunScenario(true);
   EXPECT_EQ(lossy_a.json, lossy_b.json);
   EXPECT_NE(lossy_a.json, lossless_a.json);
+}
+
+std::uint64_t Fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(CriticalPathTest, WindowOneJsonMatchesPinnedGolden) {
+  // The w=1 stage shape is pinned, not just self-consistent: the goldens
+  // were captured when window 1 was still a separate stop-and-wait protocol
+  // with per-frame ack cells. The selective-repeat window of one must
+  // reproduce every flow's stages to the nanosecond (its one-cell SACK train
+  // arrives when the per-frame ack did).
+  const ScenarioResult lossless = RunScenario(false);
+  EXPECT_EQ(lossless.json.size(), 2228u);
+  EXPECT_EQ(Fnv1a(lossless.json), 0x83bc105a984ae209ull)
+      << "w=1 lossless critical path changed:\n" << lossless.json;
+  const ScenarioResult lossy = RunScenario(true);
+  EXPECT_EQ(lossy.json.size(), 2295u);
+  EXPECT_EQ(Fnv1a(lossy.json), 0xff26362869386947ull)
+      << "w=1 lossy critical path changed:\n" << lossy.json;
 }
 
 TEST(CriticalPathTest, StageTotalsSumExactlyToMakespan) {
@@ -251,7 +277,7 @@ ScenarioResult RunWindowedScenario(std::uint32_t window, bool lossy) {
 
 TEST(CriticalPathTest, WindowedStageTotalsSumExactlyToMakespan) {
   // The partition property holds under pipelined acks, SACK trains, window
-  // stalls, and per-entry retransmissions just as under stop-and-wait.
+  // stalls, and per-entry retransmissions just as at window 1.
   for (const bool lossy : {false, true}) {
     for (const std::uint32_t window : {2u, 8u}) {
       const ScenarioResult run = RunWindowedScenario(window, lossy);

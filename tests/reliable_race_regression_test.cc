@@ -143,7 +143,7 @@ ReliableOptions RaceOptions(std::uint32_t window) {
   return opts;
 }
 
-TEST(ReliableRaceRegressionTest, StopAndWaitAckRacingGiveUpCountsOneDelivery) {
+TEST(ReliableRaceRegressionTest, WindowOneSackRacingGiveUpCountsOneDelivery) {
   RaceRig rig;
   rig.Configure(RaceOptions(1));
   rig.HoldNextFrame();
@@ -158,7 +158,7 @@ TEST(ReliableRaceRegressionTest, StopAndWaitAckRacingGiveUpCountsOneDelivery) {
   const auto report = rig.Transmit(1, src, &done);
 
   // The wire finishes at kWire (timer armed), the held frame lands at
-  // kWire + kHold, and its ack collides with the give-up timer at
+  // kWire + kHold, and its SACK train collides with the give-up timer at
   // kWire + kHold + kCtl — timer event first. The ack must win.
   EXPECT_EQ(done, kWire + kHold + kCtl);
   EXPECT_EQ(report.outcome, ReliableDelivery::TxOutcome::kDelivered);
@@ -186,10 +186,10 @@ TEST(ReliableRaceRegressionTest, WindowedSackRacingGiveUpCountsOneDelivery) {
   SimTime done = -1;
   const auto report = rig.Transmit(1, src, &done);
 
-  // Same collision as stop-and-wait, through the SACK path: the entry timer
-  // (armed at kWire) marks the entry kGiveUp, then the SACK train from the
-  // late delivery — same instant, inserted later — overrides it to kAcked
-  // before the owning coroutine consumes the verdict.
+  // Same collision with a wider window: the entry timer (armed at kWire)
+  // marks the entry kGiveUp, then the SACK train from the late delivery —
+  // same instant, inserted later — overrides it to kAcked before the owning
+  // coroutine consumes the verdict.
   EXPECT_EQ(done, kWire + kHold + kCtl);
   EXPECT_EQ(report.outcome, ReliableDelivery::TxOutcome::kDelivered);
   EXPECT_EQ(report.attempts, 1u);

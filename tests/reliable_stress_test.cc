@@ -9,7 +9,7 @@
 // Replay one seed with
 //   GENIE_RELIABLE_SEED=<seed> ./reliable_stress_test
 // Run the sweep under a selective-repeat window (both peers) with
-//   GENIE_RELIABLE_WINDOW=<w> ./reliable_stress_test   (default 1, stop-and-wait)
+//   GENIE_RELIABLE_WINDOW=<w> ./reliable_stress_test   (default 1)
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -86,8 +86,8 @@ FaultRule RandomRule(SplitMix64& rng) {
 }
 
 // Selective-repeat window applied to every rig in this binary; CI runs the
-// sweep at {1, 16} so both the stop-and-wait degenerate case and a deep
-// pipeline face the same fault schedules.
+// sweep at {1, 2, 16} so a single frame in flight, a narrow window and a
+// deep pipeline face the same fault schedules.
 std::uint32_t StressWindow() {
   static const std::uint32_t window = [] {
     if (const char* env = std::getenv("GENIE_RELIABLE_WINDOW"); env != nullptr) {

@@ -155,8 +155,8 @@ TEST(ReliableWindowTest, PipelinesFramesBackToBack) {
   EXPECT_EQ(rig.rel_.stats().retransmits, 0u);
   EXPECT_EQ(rig.rel_.stats().giveups, 0u);
   // Pipelined: all four frames clock out back to back, and the last SACK
-  // flush lands one control-cell latency after the last frame. A
-  // stop-and-wait sender would have taken 4 * (kWire + kCtl).
+  // flush lands one control-cell latency after the last frame. A window of
+  // one would have taken 4 * (kWire + kCtl).
   EXPECT_LE(rig.last_done_, 4 * kWire + 2 * kCtl);
   // Every resolution came from a SACK train (page frames are wider than the
   // 5 us accumulation window, so here each accept gets its own flush; the
@@ -178,7 +178,7 @@ TEST(ReliableWindowTest, AdmissionStallsWhenWindowFull) {
   EXPECT_EQ(rig.rel_.stats().sequenced_frames, 5u);
   // With a window of 2 the fifth frame cannot leave before the third's ack:
   // the total run is longer than the fully-pipelined case but far shorter
-  // than stop-and-wait.
+  // than a window of one.
   EXPECT_GT(rig.last_done_, 5 * kWire);
   EXPECT_LT(rig.last_done_, 5 * (kWire + 2 * kCtl));
 }
@@ -325,9 +325,9 @@ TEST(ReliableWindowTest, CancellationUnderPartiallyAckedWindow) {
   EXPECT_LT(rig.eng_.now(), 2 * kMillisecond);
 }
 
-TEST(ReliableWindowTest, WindowOneMatchesStopAndWaitSchedule) {
-  // window=1 must take the legacy stop-and-wait path: identical event
-  // digests, identical stats, for the same scenario.
+TEST(ReliableWindowTest, WindowOneScheduleIsDeterministic) {
+  // window=1 is a selective-repeat window of one frame per channel: the
+  // same seed replays the identical event schedule under loss.
   auto run = [](std::uint32_t window, std::uint64_t* digest) {
     WindowRig rig;
     ReliableOptions opts;
