@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 
 #include "src/genie/endpoint.h"
 #include "src/genie/host_path.h"
+#include "src/harness/experiment.h"
 #include "src/harness/workload.h"
 #include "src/genie/node.h"
 #include "src/genie/sys_buffer.h"
@@ -31,6 +33,7 @@
 #include "src/obs/critical_path.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_env.h"
+#include "src/util/check.h"
 #include "src/util/table.h"
 #include "src/vm/address_space.h"
 #include "src/vm/invariants.h"
@@ -43,6 +46,10 @@ constexpr std::uint32_t kPage = 4096;
 constexpr Vaddr kTxBase = 0x10000000;
 constexpr Vaddr kRxBase = 0x20000000;
 constexpr std::uint64_t kTransfer = 64 * 1024;
+constexpr std::uint64_t kWireLen = 60 * 1024;  // one AAL5 datagram per transfer
+constexpr int kStream = 64;                    // datagrams per ring stream
+constexpr std::uint64_t kStreamBytes = kStream * kWireLen;
+constexpr std::uint64_t kRegionStride = 16 * kPage;
 
 // Reference scalar (byte-pair) Internet checksum, kept here verbatim so the
 // optimized library implementation can be checked bit-identical against it.
@@ -96,6 +103,11 @@ Row Measure(const std::string& name, std::uint64_t bytes, Fn&& body) {
   return row;
 }
 
+// Simulated MB/s of `bytes` moved in `elapsed` simulated time.
+double SimMBps(std::uint64_t bytes, SimTime elapsed) {
+  return static_cast<double>(bytes) / (SimTimeToMicros(elapsed) / 1e6) / 1e6;
+}
+
 std::vector<std::byte> Payload(std::size_t n) {
   std::vector<std::byte> v(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -105,6 +117,139 @@ std::vector<std::byte> Payload(std::size_t n) {
 }
 
 volatile std::uint16_t g_sink;
+
+// Prints `rows` as the path table followed by a `JSON:` line, or (json_only)
+// as just the one-line JSON object of {row: MB/s} that
+// scripts/bench_record.sh normalizes into BENCH_hostpath.json.
+void PrintRows(const std::vector<Row>& rows, bool json_only) {
+  if (!json_only) {
+    std::printf("%-32s %14s %10s\n", "path", "MB/s", "iters");
+    for (const Row& r : rows) {
+      std::printf("%-32s %14.1f %10llu\n", r.name.c_str(), r.mb_per_s,
+                  static_cast<unsigned long long>(r.iterations));
+    }
+    std::printf("\nJSON: ");
+  }
+  std::printf("{");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::printf("%s\"%s\": %.1f", i == 0 ? "" : ", ", rows[i].name.c_str(), rows[i].mb_per_s);
+  }
+  std::printf("}\n");
+}
+
+// The two-node rig under every simulated row: the harness Testbed with
+// `payload` written into the sender's buffer and, when `arq_window` > 0,
+// ARQ at that window on both peers. `trace` is attached before the payload
+// is written, so the trace records the sender's zero-fill faults.
+std::unique_ptr<Testbed> MakeBed(std::uint32_t arq_window, std::span<const std::byte> payload,
+                                 TraceLog* trace = nullptr) {
+  ExperimentConfig config;
+  config.trace = trace;
+  auto bed = std::make_unique<Testbed>(config);
+  if (arq_window > 0) {
+    ReliableOptions ropts;
+    ropts.arq = true;
+    ropts.window = arq_window;
+    bed->sender().EnableReliableDelivery(ropts);
+    bed->receiver().EnableReliableDelivery(ropts);
+  }
+  (void)bed->tx_app().Write(bed->src_buffer(), payload);
+  return bed;
+}
+
+Task<void> PostInput(Testbed& bed, Vaddr va, Semantics sem) {
+  (void)co_await bed.rx().Input(bed.rx_app(), va, kWireLen, sem);
+}
+
+// One datagram end to end: post the input into the receiver's buffer, issue
+// the output, run to quiescence. This is the measured body of the
+// wall-clock e2e rows, so it does nothing else.
+void SendOne(Testbed& bed, Semantics sem) {
+  std::move(PostInput(bed, bed.dst_buffer(), sem)).Detach();
+  std::move(bed.tx().Output(bed.tx_app(), bed.src_buffer(), kWireLen, sem)).Detach();
+  bed.engine().Run();
+}
+
+// The receiver's buffers for RunStream: one region per datagram.
+void AddStreamBuffers(Testbed& bed) {
+  for (int i = 0; i < kStream; ++i) {
+    bed.rx_app().CreateRegion(kRxBase + i * kRegionStride, kWireLen);
+  }
+}
+
+// Sender side of a stream: kStream copy-semantics outputs of the sender's
+// buffer through the submit/completion rings, `window` per batch (submit,
+// drain, then wait for and harvest the batch's completions).
+Task<void> RingDriver(Testbed& bed, std::uint32_t window) {
+  int sent = 0;
+  std::vector<Endpoint::Completion> done;
+  while (sent < kStream) {
+    const int chunk = std::min<int>(static_cast<int>(window), kStream - sent);
+    std::vector<Endpoint::SubmitEntry> batch(static_cast<std::size_t>(chunk));
+    for (int i = 0; i < chunk; ++i) {
+      Endpoint::SubmitEntry& e = batch[static_cast<std::size_t>(i)];
+      e.app = &bed.tx_app();
+      e.va = bed.src_buffer();
+      e.len = kWireLen;
+      e.user_data = static_cast<std::uint64_t>(sent + i);
+    }
+    GENIE_CHECK(bed.tx().SubmitBatch(batch) == batch.size()) << "submit ring refused a batch";
+    (void)co_await bed.tx().Drain();
+    (void)co_await bed.tx().WaitCompletions(batch.size());
+    done.clear();
+    (void)bed.tx().Harvest(&done);
+    for (const Endpoint::Completion& c : done) {
+      GENIE_CHECK(c.status == IoStatus::kOk) << "stream completion " << c.user_data << " failed";
+    }
+    sent += chunk;
+  }
+}
+
+// One kStream-datagram stream on `bed` (which needs AddStreamBuffers): a
+// copy-semantics input preposted into every stream buffer, then the ring
+// driver at `window`. Returns the stream's simulated duration.
+SimTime RunStream(Testbed& bed, std::uint32_t window) {
+  const SimTime t0 = bed.engine().now();
+  for (int i = 0; i < kStream; ++i) {
+    std::move(PostInput(bed, kRxBase + i * kRegionStride, Semantics::kCopy)).Detach();
+  }
+  std::move(RingDriver(bed, window)).Detach();
+  bed.engine().Run();
+  return bed.engine().now() - t0;
+}
+
+// Runs a seeded fabric workload to completion. The row's rate is its
+// completed bytes over the simulated run time; `digest` (if set) receives
+// the engine's event digest, and `report` prints the per-class roll-up.
+Row FabricRow(const std::string& name, const WorkloadConfig& config,
+              std::uint64_t* digest = nullptr, bool report = false) {
+  Engine engine;
+  Workload wl(engine, config);
+  wl.Run();
+  GENIE_CHECK(wl.violations().empty())
+      << name << " workload violation: " << wl.violations().front();
+  Row row;
+  row.name = name;
+  std::uint64_t bytes = 0;
+  for (const ClassRollup& c : wl.Rollups()) {
+    bytes += c.completed_bytes;
+    row.iterations += c.completed;
+  }
+  row.mb_per_s = SimMBps(bytes, engine.now());
+  if (digest != nullptr) {
+    *digest = engine.event_digest();
+  }
+  if (report) {
+    std::ostringstream table;
+    wl.WriteReport(table);
+    std::printf(
+        "\nfabric multi-tenant roll-up (%zu channels, %zu nodes, "
+        "%llu frames switched):\n%s\n",
+        wl.tenant_count(), wl.node_count(),
+        static_cast<unsigned long long>(wl.fabric().frames_switched()), table.str().c_str());
+  }
+  return row;
+}
 
 // One parallel fused run: K threads x fixed per-thread work through the
 // allocation-point + fused-copy+checksum stack (see RunParallelFused).
@@ -136,19 +281,14 @@ Row MeasureParallelFused(std::size_t threads) {
 // hand-driven scaling runs on real multicore hosts (outside ctest).
 int RunThreadsOnly(std::size_t threads) {
   std::printf("checksum kernel: %s\n", ChecksumIsaName());
-  const Row row = MeasureParallelFused(threads);
-  std::printf("%-32s %14s %10s\n", "path", "MB/s", "iters");
-  std::printf("%-32s %14.1f %10llu\n", row.name.c_str(), row.mb_per_s,
-              static_cast<unsigned long long>(row.iterations));
-  std::printf("\nJSON: {\"%s\": %.1f}\n", row.name.c_str(), row.mb_per_s);
+  PrintRows({MeasureParallelFused(threads)}, /*json_only=*/false);
   return 0;
 }
 
 }  // namespace
 
 // `json_only` (bench_hostpath --json) suppresses the human-readable output
-// and prints one machine-readable JSON object of {row: MB/s} — the input
-// scripts/bench_record.sh normalizes into BENCH_hostpath.json.
+// and prints only the JSON object of PrintRows.
 int Run(bool json_only) {
   std::vector<Row> rows;
   const std::vector<std::byte> payload = Payload(kTransfer);
@@ -245,49 +385,23 @@ int Run(bool json_only) {
   //     of simulating one copy-semantics datagram end to end; the lossy row
   //     adds the retransmit machinery's bookkeeping plus ~1% extra frames. ---
   {
-    Engine engine;
-    Node sender(engine, "tx", Node::Config{});
-    Node receiver(engine, "rx", Node::Config{});
-    Network network(engine, sender, receiver);
-    Endpoint tx_ep(sender, 1);
-    Endpoint rx_ep(receiver, 1);
-    AddressSpace& tx_app = sender.CreateProcess("app");
-    AddressSpace& rx_app = receiver.CreateProcess("app");
-    tx_app.CreateRegion(kTxBase, kTransfer);
-    rx_app.CreateRegion(kRxBase, kTransfer);
-    (void)tx_app.Write(kTxBase, payload);
-    const std::uint64_t wire_len = 60 * 1024;  // one AAL5 datagram
-    auto one_transfer = [&] {
-      auto input = [](Endpoint& ep, AddressSpace& app, std::uint64_t n) -> Task<void> {
-        (void)co_await ep.Input(app, kRxBase, n, Semantics::kCopy);
-      };
-      std::move(input(rx_ep, rx_app, wire_len)).Detach();
-      std::move(tx_ep.Output(tx_app, kTxBase, wire_len, Semantics::kCopy)).Detach();
-      engine.Run();
-    };
-    ReliableOptions ropts;
-    ropts.arq = true;
-    sender.EnableReliableDelivery(ropts);
-    receiver.EnableReliableDelivery(ropts);
-    rows.push_back(Measure("e2e_copy_arq_lossless_60k", wire_len, one_transfer));
+    std::unique_ptr<Testbed> bed = MakeBed(1, payload);
+    auto one_transfer = [&] { SendOne(*bed, Semantics::kCopy); };
+    rows.push_back(Measure("e2e_copy_arq_lossless_60k", kWireLen, one_transfer));
 
     FaultPlan loss_plan(0xbadb10cc);
-    loss_plan.set_clock([&engine] { return engine.now(); });
+    loss_plan.set_clock([&bed] { return bed->engine().now(); });
     FaultRule drop;
     drop.site = FaultSite::kLinkDrop;
     drop.probability = 0.01;
     loss_plan.AddRule(drop);
-    sender.adapter().set_fault_plan(&loss_plan);
-    rows.push_back(Measure("e2e_copy_arq_lossy1pct_60k", wire_len, one_transfer));
-    sender.adapter().set_fault_plan(nullptr);
-    if (tx_ep.stats().failed_outputs != 0 || rx_ep.stats().failed_inputs != 0) {
-      std::fprintf(stderr, "lossy ARQ bench failed a transfer\n");
-      return 1;
-    }
-    if (sender.reliable().stats().retransmits == 0) {
-      std::fprintf(stderr, "lossy ARQ bench never retransmitted (loss not injected?)\n");
-      return 1;
-    }
+    bed->sender().adapter().set_fault_plan(&loss_plan);
+    rows.push_back(Measure("e2e_copy_arq_lossy1pct_60k", kWireLen, one_transfer));
+    bed->sender().adapter().set_fault_plan(nullptr);
+    GENIE_CHECK(bed->tx().stats().failed_outputs == 0 && bed->rx().stats().failed_inputs == 0)
+        << "lossy ARQ bench failed a transfer";
+    GENIE_CHECK(bed->sender().reliable().stats().retransmits > 0)
+        << "lossy ARQ bench never retransmitted (loss not injected?)";
   }
 
   // --- Selective-repeat window sweep (simulated throughput, deterministic).
@@ -303,79 +417,14 @@ int Run(bool json_only) {
   //     they are deterministic and byte-identical across runs. The lossy rows
   //     inject schedule-pinned kLinkDrop faults (5 drops across ~520 frames,
   //     ~1%), so every window size recovers the same number of losses. ---
+  double w4_lossless = 0;  // the crash-heal row's reference rate
   for (const std::uint32_t window : {1u, 4u, 16u, 64u}) {
-    constexpr int kStream = 64;   // datagrams per repetition
     constexpr int kLossyReps = 8;
-    Engine engine;
-    Node sender(engine, "tx", Node::Config{});
-    Node receiver(engine, "rx", Node::Config{});
-    Network network(engine, sender, receiver);
-    Endpoint tx_ep(sender, 1);
-    Endpoint rx_ep(receiver, 1);
-    AddressSpace& tx_app = sender.CreateProcess("app");
-    AddressSpace& rx_app = receiver.CreateProcess("app");
-    const std::uint64_t wire_len = 60 * 1024;  // one AAL5 datagram per transfer
-    constexpr std::uint64_t kRegionStride = 16 * kPage;
-    tx_app.CreateRegion(kTxBase, wire_len);
-    (void)tx_app.Write(kTxBase, std::span<const std::byte>(payload).subspan(0, wire_len));
-    for (int i = 0; i < kStream; ++i) {
-      rx_app.CreateRegion(kRxBase + i * kRegionStride, wire_len);
-    }
-    ReliableOptions ropts;
-    ropts.arq = true;
-    ropts.window = window;
-    sender.EnableReliableDelivery(ropts);
-    receiver.EnableReliableDelivery(ropts);
-
-    // Sender: submit/drain/harvest the stream through the rings, `window`
-    // datagrams per batch. Receiver: one posted input per datagram.
-    auto ring_driver = [](Endpoint& ep, AddressSpace& app, std::uint64_t len,
-                          std::uint32_t w) -> Task<void> {
-      int sent = 0;
-      std::vector<Endpoint::Completion> done;
-      while (sent < kStream) {
-        const int chunk = std::min<int>(static_cast<int>(w), kStream - sent);
-        std::vector<Endpoint::SubmitEntry> batch(static_cast<std::size_t>(chunk));
-        for (int i = 0; i < chunk; ++i) {
-          batch[static_cast<std::size_t>(i)].op = Endpoint::SubmitEntry::Op::kOutput;
-          batch[static_cast<std::size_t>(i)].app = &app;
-          batch[static_cast<std::size_t>(i)].va = kTxBase;
-          batch[static_cast<std::size_t>(i)].len = len;
-          batch[static_cast<std::size_t>(i)].sem = Semantics::kCopy;
-          batch[static_cast<std::size_t>(i)].user_data = static_cast<std::uint64_t>(sent + i);
-        }
-        if (ep.SubmitBatch(batch) != static_cast<std::size_t>(chunk)) {
-          std::fprintf(stderr, "window sweep: submit ring refused a batch\n");
-          std::abort();
-        }
-        (void)co_await ep.Drain();
-        (void)co_await ep.WaitCompletions(static_cast<std::size_t>(chunk));
-        done.clear();
-        (void)ep.Harvest(&done);
-        for (const Endpoint::Completion& c : done) {
-          if (c.status != IoStatus::kOk) {
-            std::fprintf(stderr, "window sweep: completion %llu failed\n",
-                         static_cast<unsigned long long>(c.user_data));
-            std::abort();
-          }
-        }
-        sent += chunk;
-      }
-    };
-    auto input = [](Endpoint& ep, AddressSpace& app, Vaddr va, std::uint64_t n) -> Task<void> {
-      (void)co_await ep.Input(app, va, n, Semantics::kCopy);
-    };
-    auto stream_once = [&] {
-      for (int i = 0; i < kStream; ++i) {
-        std::move(input(rx_ep, rx_app, kRxBase + i * kRegionStride, wire_len)).Detach();
-      }
-      std::move(ring_driver(tx_ep, tx_app, wire_len, window)).Detach();
-      engine.Run();
-    };
-
-    Row lossless;
-    lossless.name = "e2e_copy_arq_w" + std::to_string(window) + "_lossless_60k";
-    lossless.iterations = 1;
+    std::unique_ptr<Testbed> bed = MakeBed(window, payload);
+    AddStreamBuffers(*bed);
+    Node& sender = bed->sender();
+    Node& receiver = bed->receiver();
+    const std::string prefix = "e2e_copy_arq_w" + std::to_string(window);
     {
       // Trace the lossless stream so the critical-path analyzer can show
       // where each window spends its per-datagram makespan (the ack_wait
@@ -384,13 +433,13 @@ int Run(bool json_only) {
       TraceLog trace;
       sender.set_trace(&trace);
       receiver.set_trace(&trace);
-      const SimTime t0 = engine.now();
-      stream_once();
-      const double sim_s = SimTimeToMicros(engine.now() - t0) / 1e6;
-      lossless.mb_per_s =
-          static_cast<double>(kStream) * static_cast<double>(wire_len) / sim_s / 1e6;
+      const SimTime elapsed = RunStream(*bed, window);
       sender.set_trace(nullptr);
       receiver.set_trace(nullptr);
+      rows.push_back({prefix + "_lossless_60k", SimMBps(kStreamBytes, elapsed), 1});
+      if (window == 4) {
+        w4_lossless = rows.back().mb_per_s;
+      }
       const std::vector<FlowBreakdown> cp = AnalyzeTrace(trace);
       std::array<double, kStageCount> st{};
       for (const FlowBreakdown& f : cp) {
@@ -408,6 +457,7 @@ int Run(bool json_only) {
       // wait; the receiver-side dispose span shadows the ~100 us ack_wait
       // span in the per-flow partition, so the gap is quoted at stream
       // level).
+      const double sim_s = SimTimeToMicros(elapsed) / 1e6;
       const double slot_us = sim_s * 1e6 / static_cast<double>(kStream);
       if (!json_only) {
         std::printf(
@@ -419,14 +469,13 @@ int Run(bool json_only) {
             slot_us - st[static_cast<std::size_t>(Stage::kWire)] / n);
       }
     }
-    rows.push_back(lossless);
 
     // Schedule-pinned loss: the Nth-frame rules fire on the same transmit
     // ordinals for every window size, so each sweep point recovers exactly
     // five drops -- the comparison isolates how the window amortizes
     // recovery, not how lucky the RNG was.
     FaultPlan loss_plan(0xbadb10cc ^ window);
-    loss_plan.set_clock([&engine] { return engine.now(); });
+    loss_plan.set_clock([&bed] { return bed->engine().now(); });
     for (const std::uint64_t nth : {60ull, 160ull, 260ull, 360ull, 460ull}) {
       FaultRule drop;
       drop.site = FaultSite::kLinkDrop;
@@ -434,40 +483,26 @@ int Run(bool json_only) {
       loss_plan.AddRule(drop);
     }
     sender.adapter().set_fault_plan(&loss_plan);
-    Row lossy;
-    lossy.name = "e2e_copy_arq_w" + std::to_string(window) + "_lossy1pct_60k";
-    lossy.iterations = kLossyReps;
-    {
-      const SimTime t0 = engine.now();
-      for (int rep = 0; rep < kLossyReps; ++rep) {
-        stream_once();
-      }
-      const double sim_s = SimTimeToMicros(engine.now() - t0) / 1e6;
-      lossy.mb_per_s = static_cast<double>(kLossyReps) * static_cast<double>(kStream) *
-                       static_cast<double>(wire_len) / sim_s / 1e6;
+    SimTime lossy = 0;
+    for (int rep = 0; rep < kLossyReps; ++rep) {
+      lossy += RunStream(*bed, window);
     }
-    rows.push_back(lossy);
     sender.adapter().set_fault_plan(nullptr);
+    rows.push_back({prefix + "_lossy1pct_60k", SimMBps(kLossyReps * kStreamBytes, lossy),
+                    kLossyReps});
 
-    if (tx_ep.stats().failed_outputs != 0 || rx_ep.stats().failed_inputs != 0) {
-      std::fprintf(stderr, "window sweep w=%u failed a transfer\n", window);
-      return 1;
-    }
-    if (sender.reliable().stats().giveups != 0 || receiver.reliable().stats().giveups != 0) {
-      std::fprintf(stderr, "window sweep w=%u gave a transfer up\n", window);
-      return 1;
-    }
-    if (loss_plan.total_injected() != 5 || sender.reliable().stats().retransmits < 5) {
-      std::fprintf(stderr, "window sweep w=%u: expected 5 pinned drops, injected %llu\n",
-                   window, static_cast<unsigned long long>(loss_plan.total_injected()));
-      return 1;
-    }
-    const Endpoint::Stats& ring_stats = tx_ep.stats();
-    if (ring_stats.ring_submits != static_cast<std::uint64_t>(kStream) * (1 + kLossyReps) ||
-        ring_stats.ring_completions != ring_stats.ring_submits) {
-      std::fprintf(stderr, "window sweep w=%u: ring accounting mismatch\n", window);
-      return 1;
-    }
+    const Endpoint::Stats& ring = bed->tx().stats();
+    GENIE_CHECK(ring.failed_outputs == 0 && bed->rx().stats().failed_inputs == 0)
+        << "window sweep w=" << window << " failed a transfer";
+    GENIE_CHECK(sender.reliable().stats().giveups == 0 &&
+                receiver.reliable().stats().giveups == 0)
+        << "window sweep w=" << window << " gave a transfer up";
+    GENIE_CHECK(loss_plan.total_injected() == 5 && sender.reliable().stats().retransmits >= 5)
+        << "window sweep w=" << window << ": expected 5 pinned drops, injected "
+        << loss_plan.total_injected();
+    GENIE_CHECK(ring.ring_submits == static_cast<std::uint64_t>(kStream) * (1 + kLossyReps) &&
+                ring.ring_completions == ring.ring_submits)
+        << "window sweep w=" << window << ": ring accounting mismatch";
   }
 
   // --- Crash-and-heal recovery row (simulated, deterministic). The receiver
@@ -478,121 +513,33 @@ int Run(bool json_only) {
   //     against the rebooted peer. Acceptance: recovery leaves no residue --
   //     the post-heal rate is within 10% of the w=4 lossless row above. ---
   {
-    constexpr int kStream = 64;
-    constexpr std::uint32_t window = 4;
-    Engine engine;
-    Node sender(engine, "tx", Node::Config{});
-    Node receiver(engine, "rx", Node::Config{});
-    Network network(engine, sender, receiver);
-    Endpoint tx_ep(sender, 1);
-    Endpoint rx_ep(receiver, 1);
-    AddressSpace& tx_app = sender.CreateProcess("app");
-    AddressSpace& rx_app = receiver.CreateProcess("app");
-    const std::uint64_t wire_len = 60 * 1024;  // one AAL5 datagram per transfer
-    constexpr std::uint64_t kRegionStride = 16 * kPage;
-    tx_app.CreateRegion(kTxBase, wire_len);
-    (void)tx_app.Write(kTxBase, std::span<const std::byte>(payload).subspan(0, wire_len));
-    for (int i = 0; i < kStream; ++i) {
-      rx_app.CreateRegion(kRxBase + i * kRegionStride, wire_len);
-    }
-    ReliableOptions ropts;
-    ropts.arq = true;
-    ropts.window = window;
-    sender.EnableReliableDelivery(ropts);
-    receiver.EnableReliableDelivery(ropts);
+    constexpr std::uint32_t kWindow = 4;
+    std::unique_ptr<Testbed> bed = MakeBed(kWindow, payload);
+    AddStreamBuffers(*bed);
+    Node& receiver = bed->receiver();
+    const ReliableDelivery::Stats& rel = bed->sender().reliable().stats();
 
     // The sacrificed probe datagram: crash lands mid-wire (60 KiB takes
     // ~3.7 ms), the probe's posted input is discarded by the crash, and the
     // sender's retransmit performs epoch discovery against the reboot.
-    auto probe_in = [](Endpoint& ep, AddressSpace& app, std::uint64_t n) -> Task<void> {
-      (void)co_await ep.Input(app, kRxBase, n, Semantics::kCopy);
-    };
-    engine.ScheduleAt(2 * kMillisecond, [&receiver] { receiver.Crash(); });
-    engine.ScheduleAt(2 * kMillisecond + 500 * kMicrosecond,
-                      [&receiver] { receiver.Restart(); });
-    std::move(probe_in(rx_ep, rx_app, wire_len)).Detach();
-    std::move(tx_ep.Output(tx_app, kTxBase, wire_len, Semantics::kCopy)).Detach();
-    engine.Run();
-    if (receiver.crashes() != 1 || receiver.crashed() ||
-        sender.reliable().stats().epoch_bumps != 1 ||
-        sender.reliable().stats().peer_crash_aborts == 0 ||
-        sender.reliable().stats().resyncs == 0) {
-      std::fprintf(stderr, "crash-heal bench: recovery path not exercised\n");
-      return 1;
-    }
+    bed->engine().ScheduleAt(2 * kMillisecond, [&receiver] { receiver.Crash(); });
+    bed->engine().ScheduleAt(2 * kMillisecond + 500 * kMicrosecond,
+                             [&receiver] { receiver.Restart(); });
+    SendOne(*bed, Semantics::kCopy);
+    GENIE_CHECK(receiver.crashes() == 1 && !receiver.crashed() && rel.epoch_bumps == 1 &&
+                rel.peer_crash_aborts > 0 && rel.resyncs > 0)
+        << "crash-heal bench: recovery path not exercised";
 
-    auto ring_driver = [](Endpoint& ep, AddressSpace& app, std::uint64_t len,
-                          std::uint32_t w) -> Task<void> {
-      int sent = 0;
-      std::vector<Endpoint::Completion> done;
-      while (sent < kStream) {
-        const int chunk = std::min<int>(static_cast<int>(w), kStream - sent);
-        std::vector<Endpoint::SubmitEntry> batch(static_cast<std::size_t>(chunk));
-        for (int i = 0; i < chunk; ++i) {
-          batch[static_cast<std::size_t>(i)].op = Endpoint::SubmitEntry::Op::kOutput;
-          batch[static_cast<std::size_t>(i)].app = &app;
-          batch[static_cast<std::size_t>(i)].va = kTxBase;
-          batch[static_cast<std::size_t>(i)].len = len;
-          batch[static_cast<std::size_t>(i)].sem = Semantics::kCopy;
-          batch[static_cast<std::size_t>(i)].user_data = static_cast<std::uint64_t>(sent + i);
-        }
-        if (ep.SubmitBatch(batch) != static_cast<std::size_t>(chunk)) {
-          std::fprintf(stderr, "crash-heal bench: submit ring refused a batch\n");
-          std::abort();
-        }
-        (void)co_await ep.Drain();
-        (void)co_await ep.WaitCompletions(static_cast<std::size_t>(chunk));
-        done.clear();
-        (void)ep.Harvest(&done);
-        for (const Endpoint::Completion& c : done) {
-          if (c.status != IoStatus::kOk) {
-            std::fprintf(stderr, "crash-heal bench: post-heal completion %llu failed\n",
-                         static_cast<unsigned long long>(c.user_data));
-            std::abort();
-          }
-        }
-        sent += chunk;
-      }
-    };
-    auto input = [](Endpoint& ep, AddressSpace& app, Vaddr va, std::uint64_t n) -> Task<void> {
-      (void)co_await ep.Input(app, va, n, Semantics::kCopy);
-    };
-    Row heal;
-    heal.name = "e2e_arq_crash_heal_60k";
-    heal.iterations = 1;
-    const SimTime t0 = engine.now();
-    for (int i = 0; i < kStream; ++i) {
-      std::move(input(rx_ep, rx_app, kRxBase + i * kRegionStride, wire_len)).Detach();
-    }
-    std::move(ring_driver(tx_ep, tx_app, wire_len, window)).Detach();
-    engine.Run();
-    const double sim_s = SimTimeToMicros(engine.now() - t0) / 1e6;
-    heal.mb_per_s =
-        static_cast<double>(kStream) * static_cast<double>(wire_len) / sim_s / 1e6;
+    const Row heal{"e2e_arq_crash_heal_60k", SimMBps(kStreamBytes, RunStream(*bed, kWindow)), 1};
     rows.push_back(heal);
-
     // Exactly the probe failed; the whole measured stream delivered against
     // the epoch-2 peer with no give-ups and no lingering resync.
-    if (tx_ep.stats().failed_outputs != 1 || rx_ep.stats().failed_inputs != 1 ||
-        sender.reliable().stats().giveups != 0 ||
-        receiver.reliable().stats().giveups != 0) {
-      std::fprintf(stderr, "crash-heal bench: post-heal stream was not exactly-once\n");
-      return 1;
-    }
-    double lossless_rate = 0;
-    for (const Row& r : rows) {
-      if (r.name == "e2e_copy_arq_w4_lossless_60k") {
-        lossless_rate = r.mb_per_s;
-      }
-    }
-    if (lossless_rate <= 0 ||
-        std::fabs(heal.mb_per_s - lossless_rate) > 0.10 * lossless_rate) {
-      std::fprintf(stderr,
-                   "crash-heal bench: post-heal %.1f MB/s vs lossless %.1f MB/s "
-                   "(bar: within 10%%)\n",
-                   heal.mb_per_s, lossless_rate);
-      return 1;
-    }
+    GENIE_CHECK(bed->tx().stats().failed_outputs == 1 && bed->rx().stats().failed_inputs == 1 &&
+                rel.giveups == 0 && receiver.reliable().stats().giveups == 0)
+        << "crash-heal bench: post-heal stream was not exactly-once";
+    GENIE_CHECK(w4_lossless > 0 && std::fabs(heal.mb_per_s - w4_lossless) <= 0.10 * w4_lossless)
+        << "crash-heal bench: post-heal " << heal.mb_per_s << " MB/s vs lossless " << w4_lossless
+        << " MB/s (bar: within 10%)";
   }
 
   // --- Multi-tenant switched fabric (simulated throughput, deterministic).
@@ -603,75 +550,34 @@ int Run(bool json_only) {
   //     per-class p50/p99 roll-up shows what contention does to the
   //     interactive tail while bulk saturates the per-port links. ---
   {
-    auto fabric_config = [] {
-      WorkloadConfig cfg;
-      cfg.seed = 0xfab;
-      cfg.nodes = 8;
-      TenantClassConfig bulk;
-      bulk.name = "bulk";
-      bulk.tenants = 900;
-      bulk.transfers_per_tenant = 2;
-      bulk.min_bytes = 1024;
-      bulk.max_bytes = 8 * 1024;
-      bulk.semantics_mix = {Semantics::kEmulatedCopy, Semantics::kCopy};
-      cfg.classes.push_back(bulk);
-      TenantClassConfig interactive;
-      interactive.name = "interactive";
-      interactive.tenants = 100;
-      interactive.transfers_per_tenant = 4;
-      interactive.min_bytes = 256;
-      interactive.max_bytes = 1024;
-      cfg.classes.push_back(interactive);
-      return cfg;
-    };
-    auto run_fabric = [&](std::uint64_t* digest, bool report) -> Row {
-      Engine engine;
-      Workload wl(engine, fabric_config());
-      wl.Run();
-      if (!wl.violations().empty()) {
-        std::fprintf(stderr, "fabric workload violation: %s\n",
-                     wl.violations().front().c_str());
-        std::abort();
-      }
-      std::uint64_t bytes = 0;
-      std::uint64_t completed = 0;
-      for (const TenantStats& t : wl.tenant_stats()) {
-        bytes += t.completed_bytes;
-        completed += t.completed;
-      }
-      Row row;
-      row.name = "fabric_1000ch_8node_sim";
-      row.iterations = completed;
-      row.mb_per_s = static_cast<double>(bytes) /
-                     (SimTimeToMicros(engine.now()) / 1e6) / 1e6;
-      *digest = engine.event_digest();
-      if (report) {
-        std::ostringstream table;
-        wl.WriteReport(table);
-        std::printf(
-            "\nfabric multi-tenant roll-up (%zu channels, %zu nodes, "
-            "%llu frames switched):\n%s\n",
-            wl.tenant_count(), wl.node_count(),
-            static_cast<unsigned long long>(wl.fabric().frames_switched()),
-            table.str().c_str());
-      }
-      return row;
-    };
+    WorkloadConfig cfg;
+    cfg.seed = 0xfab;
+    cfg.nodes = 8;
+    TenantClassConfig bulk;
+    bulk.name = "bulk";
+    bulk.tenants = 900;
+    bulk.transfers_per_tenant = 2;
+    bulk.min_bytes = 1024;
+    bulk.max_bytes = 8 * 1024;
+    bulk.semantics_mix = {Semantics::kEmulatedCopy, Semantics::kCopy};
+    cfg.classes.push_back(bulk);
+    TenantClassConfig interactive;
+    interactive.name = "interactive";
+    interactive.tenants = 100;
+    interactive.transfers_per_tenant = 4;
+    interactive.min_bytes = 256;
+    interactive.max_bytes = 1024;
+    cfg.classes.push_back(interactive);
     std::uint64_t digest_a = 0;
     std::uint64_t digest_b = 0;
-    (void)run_fabric(&digest_a, /*report=*/false);
-    rows.push_back(run_fabric(&digest_b, /*report=*/!json_only));
-    if (digest_a != digest_b) {
-      std::fprintf(stderr, "fabric workload replay diverged: %llx vs %llx\n",
-                   static_cast<unsigned long long>(digest_a),
-                   static_cast<unsigned long long>(digest_b));
-      return 1;
-    }
+    (void)FabricRow("fabric_1000ch_8node_sim", cfg, &digest_a);
+    rows.push_back(FabricRow("fabric_1000ch_8node_sim", cfg, &digest_b, !json_only));
+    GENIE_CHECK(digest_a == digest_b) << "fabric workload replay diverged: " << std::hex
+                                      << digest_a << " vs " << digest_b;
 
     // Incast companion row: 6 identical closed-loop tenants share one egress
     // downlink for 30 simulated ms (the fairness-test scenario); the rate is
     // what DRR lets the contended port carry.
-    Engine engine;
     WorkloadConfig incast;
     incast.seed = 0xfab;
     incast.nodes = 4;
@@ -684,25 +590,7 @@ int Run(bool json_only) {
     cls.min_bytes = 2048;
     cls.max_bytes = 2048;
     incast.classes.push_back(cls);
-    Workload wl(engine, incast);
-    wl.Run();
-    if (!wl.violations().empty()) {
-      std::fprintf(stderr, "incast workload violation: %s\n",
-                   wl.violations().front().c_str());
-      return 1;
-    }
-    std::uint64_t bytes = 0;
-    std::uint64_t completed = 0;
-    for (const TenantStats& t : wl.tenant_stats()) {
-      bytes += t.completed_bytes;
-      completed += t.completed;
-    }
-    Row row;
-    row.name = "fabric_incast_drr_6ch";
-    row.iterations = completed;
-    row.mb_per_s =
-        static_cast<double>(bytes) / (SimTimeToMicros(engine.now()) / 1e6) / 1e6;
-    rows.push_back(row);
+    rows.push_back(FabricRow("fabric_incast_drr_6ch", incast));
   }
 
   // --- Parallel real-host data plane: aggregate fused copy+checksum rate
@@ -736,44 +624,23 @@ int Run(bool json_only) {
   {
     // GENIE_TRACE=out.json captures this end-to-end transfer's spans.
     ScopedTraceFile trace_file;
-    Engine engine;
-    Node sender(engine, "tx", Node::Config{});
-    Node receiver(engine, "rx", Node::Config{});
-    if (trace_file.enabled()) {
-      sender.set_trace(trace_file.log());
-      receiver.set_trace(trace_file.log());
-    }
-    Network network(engine, sender, receiver);
-    Endpoint tx_ep(sender, 1);
-    Endpoint rx_ep(receiver, 1);
-    AddressSpace& tx_app = sender.CreateProcess("app");
-    AddressSpace& rx_app = receiver.CreateProcess("app");
+    std::unique_ptr<Testbed> bed = MakeBed(0, payload, trace_file.log());
     FaultPlan plan(0);
-    sender.AttachFaultPlan(&plan);
-    receiver.AttachFaultPlan(&plan);
-    tx_app.CreateRegion(kTxBase, kTransfer);
-    rx_app.CreateRegion(kRxBase, kTransfer);
-    (void)tx_app.Write(kTxBase, payload);
-    const std::uint64_t wire_len = 60 * 1024;  // one AAL5 datagram
-    auto input = [](Endpoint& ep, AddressSpace& app, std::uint64_t n) -> Task<void> {
-      (void)co_await ep.Input(app, kRxBase, n, Semantics::kEmulatedCopy);
-    };
-    std::move(input(rx_ep, rx_app, wire_len)).Detach();
-    std::move(tx_ep.Output(tx_app, kTxBase, wire_len, Semantics::kEmulatedCopy)).Detach();
-    engine.Run();
-    InvariantReport report = VmInvariants::CheckAll(sender.vm(), tx_app, true);
-    const InvariantReport rx_report = VmInvariants::CheckAll(receiver.vm(), rx_app, true);
+    bed->sender().AttachFaultPlan(&plan);
+    bed->receiver().AttachFaultPlan(&plan);
+    SendOne(*bed, Semantics::kEmulatedCopy);
+    InvariantReport report = VmInvariants::CheckAll(bed->sender().vm(), bed->tx_app(), true);
+    const InvariantReport rx_report =
+        VmInvariants::CheckAll(bed->receiver().vm(), bed->rx_app(), true);
     report.violations.insert(report.violations.end(), rx_report.violations.begin(),
                              rx_report.violations.end());
-    sender.AttachFaultPlan(nullptr);
-    receiver.AttachFaultPlan(nullptr);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s", report.ToString().c_str());
-      return 1;
-    }
+    bed->sender().AttachFaultPlan(nullptr);
+    bed->receiver().AttachFaultPlan(nullptr);
+    GENIE_CHECK(report.ok()) << report.ToString();
     injected_faults = plan.total_injected();
-    recovered_transfers = tx_ep.stats().recovered_transfers + rx_ep.stats().recovered_transfers;
-    metrics_json = receiver.metrics().Snapshot().ToJson();
+    recovered_transfers =
+        bed->tx().stats().recovered_transfers + bed->rx().stats().recovered_transfers;
+    metrics_json = bed->receiver().metrics().Snapshot().ToJson();
     if (trace_file.enabled() && !json_only) {
       // The traced transfer also feeds the critical-path analyzer: print its
       // per-stage attribution next to the trace file it came from.
@@ -784,32 +651,18 @@ int Run(bool json_only) {
                   trace_file.path().c_str(), table.str().c_str());
     }
   }
-  if (json_only) {
-    std::printf("{");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      std::printf("%s\"%s\": %.1f", i == 0 ? "" : ", ", rows[i].name.c_str(), rows[i].mb_per_s);
-    }
-    std::printf("}\n");
-    return 0;
+  if (!json_only) {
+    TextTable fault_table;
+    fault_table.AddHeader({"fault/recovery counter", "value"});
+    fault_table.AddRow({"injected_faults", std::to_string(injected_faults)});
+    fault_table.AddRow({"recovered_transfers", std::to_string(recovered_transfers)});
+    fault_table.AddRow({"invariant_checks", std::to_string(VmInvariants::total_checks())});
+    std::printf("%s\n", fault_table.ToString().c_str());
   }
-  TextTable fault_table;
-  fault_table.AddHeader({"fault/recovery counter", "value"});
-  fault_table.AddRow({"injected_faults", std::to_string(injected_faults)});
-  fault_table.AddRow({"recovered_transfers", std::to_string(recovered_transfers)});
-  fault_table.AddRow({"invariant_checks", std::to_string(VmInvariants::total_checks())});
-  std::printf("%s\n", fault_table.ToString().c_str());
-
-  std::printf("%-32s %14s %10s\n", "path", "MB/s", "iters");
-  for (const Row& r : rows) {
-    std::printf("%-32s %14.1f %10llu\n", r.name.c_str(), r.mb_per_s,
-                static_cast<unsigned long long>(r.iterations));
+  PrintRows(rows, json_only);
+  if (!json_only) {
+    std::printf("\nReceiver metrics snapshot (end-to-end transfer):\n%s\n", metrics_json.c_str());
   }
-  std::printf("\nJSON: {");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    std::printf("%s\"%s\": %.1f", i == 0 ? "" : ", ", rows[i].name.c_str(), rows[i].mb_per_s);
-  }
-  std::printf("}\n");
-  std::printf("\nReceiver metrics snapshot (end-to-end transfer):\n%s\n", metrics_json.c_str());
   return 0;
 }
 

@@ -10,35 +10,25 @@
 namespace genie {
 namespace {
 
-constexpr Vaddr kSrc = 0x20000000;
-constexpr Vaddr kDst = 0x30000000;
-
 Task<void> ReceiveInto(Endpoint& ep, std::uint32_t tag, InputResult* out) {
   *out = co_await ep.ReceiveNamed(tag);
 }
 
 double NamedLatency(std::uint64_t len) {
-  Engine engine;
-  Node tx_node(engine, "tx", Node::Config{});
-  Node rx_node(engine, "rx", Node::Config{});
-  Network net(engine, tx_node, rx_node);
-  Endpoint tx(tx_node, 1);
-  Endpoint rx(rx_node, 1);
-  AddressSpace& tx_app = tx_node.CreateProcess("app");
-  AddressSpace& rx_app = rx_node.CreateProcess("app");
-  tx_app.CreateRegion(kSrc, 64 * 1024 + 4096);
-  rx_app.CreateRegion(kDst, 64 * 1024 + 4096);
-  const std::uint32_t tag = rx.RegisterNamedBuffer(rx_app, kDst, len);
+  Testbed bed(ExperimentConfig{});
+  const std::uint32_t tag = bed.rx().RegisterNamedBuffer(bed.rx_app(), bed.dst_buffer(), len);
   std::vector<std::byte> payload(len, std::byte{0x5A});
-  (void)tx_app.Write(kSrc, payload);
+  (void)bed.tx_app().Write(bed.src_buffer(), payload);
 
   double latency = 0;
   for (int rep = 0; rep < 3; ++rep) {  // Warm + measured.
     InputResult r;
-    std::move(ReceiveInto(rx, tag, &r)).Detach();
-    const SimTime t0 = engine.now();
-    std::move(tx.OutputTagged(tx_app, kSrc, len, Semantics::kEmulatedShare, tag)).Detach();
-    engine.Run();
+    std::move(ReceiveInto(bed.rx(), tag, &r)).Detach();
+    const SimTime t0 = bed.engine().now();
+    std::move(bed.tx().OutputTagged(bed.tx_app(), bed.src_buffer(), len,
+                                    Semantics::kEmulatedShare, tag))
+        .Detach();
+    bed.engine().Run();
     latency = SimTimeToMicros(r.completed_at - t0);
   }
   return latency;

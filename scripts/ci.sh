@@ -47,6 +47,39 @@ fi
 # deselect it.
 build/tests/obs_critical_path_test \
   --gtest_filter='CriticalPathTest.AnalyzerJsonIsByteIdenticalAcrossRuns:CriticalPathTest.FabricJsonIsByteIdenticalAcrossRuns'
+# bench_hostpath's simulated rows (the windowed-ARQ sweep, the crash-heal row
+# and the two fabric rows), its critical_path lines and the fabric roll-up
+# are deterministic: pin them to the values they reproduce, so a change to
+# the two-node rig, the ring-stream driver or the simulated clock fails here.
+# The bench's other rows are wall-clock and stay unpinned.
+echo "bench_hostpath simulated-output pin"
+cat > build/bench_hostpath_pin.txt <<'EOF'
+critical_path w=1  (64-datagram stream, us): slot=4928.7 wire=3674.1 prepare=1134.9 dispose=1396.7 offwire_gap=1254.6
+critical_path w=4  (64-datagram stream, us): slot=4011.4 wire=3674.1 prepare=1134.9 dispose=1396.7 offwire_gap=337.3
+critical_path w=16 (64-datagram stream, us): slot=3782.1 wire=3674.1 prepare=1134.9 dispose=1398.7 offwire_gap=108.0
+critical_path w=64 (64-datagram stream, us): slot=3724.8 wire=3674.1 prepare=1134.9 dispose=1399.2 offwire_gap=50.7
+fabric multi-tenant roll-up (1000 channels, 8 nodes, 2200 frames switched):
+class            tenants      done    fail   retry   crash          MB    p50_us    p99_us    max_us
+bulk                 900      1800       0       0       0        7.81   38967.9   65416.4   65416.4
+interactive          100       400       0       0       0        0.24   32768.0   44499.2   44499.2
+e2e_copy_arq_w1_lossless_60k               12.5          1
+e2e_copy_arq_w1_lossy1pct_60k              12.3          8
+e2e_copy_arq_w4_lossless_60k               15.3          1
+e2e_copy_arq_w4_lossy1pct_60k              15.1          8
+e2e_copy_arq_w16_lossless_60k              16.2          1
+e2e_copy_arq_w16_lossy1pct_60k             16.1          8
+e2e_copy_arq_w64_lossless_60k              16.5          1
+e2e_copy_arq_w64_lossy1pct_60k             16.3          8
+e2e_arq_crash_heal_60k                     15.3          1
+fabric_1000ch_8node_sim                    78.7       2200
+fabric_incast_drr_6ch                      16.6        249
+EOF
+build/bench/bench_hostpath > build/bench_hostpath.txt
+if ! grep -E '^(critical_path |fabric multi-tenant|class  |bulk  |interactive  |e2e_copy_arq_w|e2e_arq_crash_heal|fabric_)' \
+    build/bench_hostpath.txt | diff -u build/bench_hostpath_pin.txt -; then
+  echo "bench_hostpath pin failed: simulated output differs from the pinned values (diff above)"
+  exit 1
+fi
 
 echo "=== tier-1: host-speed benchmark builds and runs ==="
 # Nothing else builds perfbench/ (the host-speed benchmark), so a src/ API

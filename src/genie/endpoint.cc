@@ -189,7 +189,8 @@ std::string Endpoint::XferLabel(const char* direction, Semantics sem) {
          std::string(SemanticsName(sem)) + "]";
 }
 
-void Endpoint::RecordInputComplete(PendingInput& pi) {
+void Endpoint::CompleteInput(PendingInput& pi) {
+  pi.result.completed_at = node_->engine().now();
   if (pi.cancel_id != 0) {
     live_inputs_.erase(pi.cancel_id);
   }
@@ -200,6 +201,8 @@ void Endpoint::RecordInputComplete(PendingInput& pi) {
   if (input_latency_probe_) {
     input_latency_probe_(us);
   }
+  FinishOperation();
+  pi.done.Set();
 }
 
 Delay Endpoint::Charge(OpKind op, std::uint64_t bytes) {
@@ -1531,7 +1534,6 @@ void Endpoint::CancelStuckInput(PendingInput& pi) {
   UnwindInputResources(pi, discarded);
   pi.result.ok = false;
   pi.result.status = IoStatus::kCancelled;
-  pi.result.completed_at = node_->engine().now();
   ++stats_.failed_inputs;
   ++stats_.recovered_transfers;
   ++stats_.watchdog_cancels;
@@ -1539,9 +1541,7 @@ void Endpoint::CancelStuckInput(PendingInput& pi) {
     trace->Instant(xfer_track_, pi.xfer + " watchdog cancelled", "reliable",
                    node_->engine().now());
   }
-  RecordInputComplete(pi);
-  FinishOperation();
-  pi.done.Set();
+  CompleteInput(pi);
 }
 
 void Endpoint::CrashAbort() {
@@ -1560,16 +1560,13 @@ void Endpoint::CrashAbort() {
     UnwindInputResources(*pi, discarded);
     pi->result.ok = false;
     pi->result.status = IoStatus::kPeerCrashed;
-    pi->result.completed_at = node_->engine().now();
     ++stats_.failed_inputs;
     ++stats_.recovered_transfers;
     if (TraceLog* trace = node_->trace(); trace != nullptr) {
       trace->Instant(xfer_track_, pi->xfer + " crash aborted", "crash",
                      node_->engine().now());
     }
-    RecordInputComplete(*pi);
-    FinishOperation();
-    pi->done.Set();
+    CompleteInput(*pi);
   }
   // The adapter's crash wipe already dropped its postings; the endpoint-side
   // waiting lists must match (every entry was just failed above).
@@ -1638,11 +1635,8 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
     co_await Charge(op, bytes);
   }
   dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
   node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi);
 }
 
 Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFrame frame) {
@@ -1699,11 +1693,8 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
     co_await Charge(op, bytes);
   }
   dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
   node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi);
 }
 
 Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, OutboardFrame frame) {
@@ -1750,11 +1741,8 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     }
     adapter.FreeOutboard(frame.handle);
     dispose_span.End();
-    pi->result.completed_at = node_->engine().now();
-    RecordInputComplete(*pi);
     node_->cpu().Release();
-    FinishOperation();
-    pi->done.Set();
+    CompleteInput(*pi);
     co_return;
   }
 
@@ -1777,11 +1765,8 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
       ++stats_.failed_inputs;
       ++stats_.recovered_transfers;
       dispose_span.End();
-      pi->result.completed_at = node_->engine().now();
-      RecordInputComplete(*pi);
       node_->cpu().Release();
-      FinishOperation();
-      pi->done.Set();
+      CompleteInput(*pi);
       co_return;
     }
     co_await Charge(OpKind::kReference, n);
@@ -1820,11 +1805,8 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     pi->result.ok = false;
   }
   dispose_span.End();
-  pi->result.completed_at = node_->engine().now();
-  RecordInputComplete(*pi);
   node_->cpu().Release();
-  FinishOperation();
-  pi->done.Set();
+  CompleteInput(*pi);
 }
 
 void Endpoint::OnPooledFrame(PooledFrame frame) {

@@ -408,7 +408,10 @@ class Endpoint {
   // the transfer starts with no trace attached and the watchdog off, so an
   // untraced transfer builds no label (the id is consumed either way).
   std::string XferLabel(const char* direction, Semantics sem);
-  void RecordInputComplete(PendingInput& pi);
+  // The one exit of a posted input: stamps completed_at, drops it from the
+  // live (cancellable) set, records its latency, ends the operation and
+  // wakes the waiting Input() call.
+  void CompleteInput(PendingInput& pi);
 
   Node* node_;
   std::uint64_t channel_;

@@ -8,7 +8,8 @@
 
 namespace genie {
 
-SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len) {
+bool TryAllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len,
+                          SysBuffer* out) {
   const std::uint32_t psz = pm.page_size();
   GENIE_CHECK_LT(page_offset, psz);
   GENIE_CHECK_GT(len, 0u);
@@ -27,59 +28,13 @@ SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::
       }
       buf.iov.segments.push_back(
           IoSegment{first, page_offset, static_cast<std::uint32_t>(len)});
-      return buf;
-    }
-  }
-  // Fragmented fallback: frame-at-a-time, still merging segments that land
-  // physically adjacent.
-  std::uint64_t remaining = len;
-  std::uint32_t off = page_offset;
-  while (remaining > 0) {
-    const FrameId f = pm.Allocate();
-    buf.frames.push_back(f);
-    const std::uint32_t chunk =
-        static_cast<std::uint32_t>(std::min<std::uint64_t>(psz - off, remaining));
-    if (!buf.iov.segments.empty()) {
-      IoSegment& last = buf.iov.segments.back();
-      if (static_cast<std::uint64_t>(last.frame) * psz + last.offset + last.length ==
-          static_cast<std::uint64_t>(f) * psz + off) {
-        last.length += chunk;
-        remaining -= chunk;
-        off = 0;
-        continue;
-      }
-    }
-    buf.iov.segments.push_back(IoSegment{f, off, chunk});
-    remaining -= chunk;
-    off = 0;
-  }
-  return buf;
-}
-
-bool TryAllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len,
-                          SysBuffer* out) {
-  const std::uint32_t psz = pm.page_size();
-  GENIE_CHECK_LT(page_offset, psz);
-  GENIE_CHECK_GT(len, 0u);
-  SysBuffer buf;
-  buf.length = len;
-  buf.page_offset = page_offset;
-  const std::uint64_t pages = (page_offset + len + psz - 1) / psz;
-  buf.frames.reserve(static_cast<std::size_t>(pages));
-  if (page_offset + len <= std::numeric_limits<std::uint32_t>::max()) {
-    const FrameId first = pm.TryAllocateRun(static_cast<std::size_t>(pages));
-    if (first != kInvalidFrame) {
-      for (std::uint64_t i = 0; i < pages; ++i) {
-        buf.frames.push_back(first + static_cast<FrameId>(i));
-      }
-      buf.iov.segments.push_back(
-          IoSegment{first, page_offset, static_cast<std::uint32_t>(len)});
       *out = std::move(buf);
       return true;
     }
   }
-  // Fragmented fallback, frame-at-a-time; each allocation may fail (for real
-  // or by injection), in which case the partial buffer is released.
+  // Fragmented fallback, frame-at-a-time, still merging segments that land
+  // physically adjacent. Each allocation may fail (for real or by
+  // injection), in which case the partial buffer is released.
   std::uint64_t remaining = len;
   std::uint32_t off = page_offset;
   while (remaining > 0) {
@@ -107,6 +62,12 @@ bool TryAllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::ui
   }
   *out = std::move(buf);
   return true;
+}
+
+SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len) {
+  SysBuffer buf;
+  GENIE_CHECK(TryAllocateSysBuffer(pm, page_offset, len, &buf)) << "out of physical memory";
+  return buf;
 }
 
 bool TryAllocateSysBufferDegraded(PhysicalMemory& pm, std::uint32_t page_offset,

@@ -28,14 +28,17 @@ struct SysBuffer {
 };
 
 // Allocates a system buffer of `len` bytes whose first byte sits at
-// `page_offset` within its first frame (0 = conventional unaligned buffer).
-SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len);
-
-// As AllocateSysBuffer, but recoverable: on allocation failure (exhaustion or
-// an injected FaultSite::kFrameAllocate/kFrameAllocateRun) any partially
-// allocated frames are freed and false is returned with `*out` empty.
+// `page_offset` within its first frame (0 = conventional unaligned buffer):
+// one contiguous run when the free list has one, else frame at a time. On
+// allocation failure (exhaustion or an injected
+// FaultSite::kFrameAllocate/kFrameAllocateRun) any partially allocated
+// frames are freed and false is returned with `*out` untouched.
 bool TryAllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len,
                           SysBuffer* out);
+
+// As TryAllocateSysBuffer, for callers with no recovery path: dies with
+// "out of physical memory" when the allocation fails.
+SysBuffer AllocateSysBuffer(PhysicalMemory& pm, std::uint32_t page_offset, std::uint64_t len);
 
 // Alignment-degrading allocation for the reliability layer: tries the
 // aligned buffer first (`ensure_frames` is called with the page count of
