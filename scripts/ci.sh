@@ -80,6 +80,18 @@ if ! grep -E '^(critical_path |fabric multi-tenant|class  |bulk  |interactive  |
   echo "bench_hostpath pin failed: simulated output differs from the pinned values (diff above)"
   exit 1
 fi
+# Tracing must not change the numbers. bench_table6 builds one Testbed per
+# sweep length, all on one trace log: traced, it must print exactly what it
+# prints untraced and write a trace that parses as JSON.
+echo "bench_table6 traced/untraced identity"
+build/bench/bench_table6_primitive_ops > build/table6_untraced.txt
+GENIE_TRACE=build/table6_trace.json build/bench/bench_table6_primitive_ops \
+  > build/table6_traced.txt
+if ! diff -u build/table6_untraced.txt build/table6_traced.txt; then
+  echo "bench_table6 trace check failed: tracing changed its output (diff above)"
+  exit 1
+fi
+python3 -c 'import json, sys; json.load(open(sys.argv[1]))' build/table6_trace.json
 
 echo "=== tier-1: host-speed benchmark builds and runs ==="
 # Nothing else builds perfbench/ (the host-speed benchmark), so a src/ API

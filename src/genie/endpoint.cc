@@ -103,18 +103,6 @@ Endpoint::Endpoint(Node& node, std::uint64_t channel, GenieOptions options)
     RegisterMetrics();
     input_latency_us_ = &node_->metrics().Histogram(metric_prefix_ + "input_latency_us");
   }
-  switch (node_->adapter().rx_buffering()) {
-    case InputBuffering::kPooled:
-      node_->RegisterPooledHandler(channel_,
-                                   [this](PooledFrame f) { OnPooledFrame(std::move(f)); });
-      break;
-    case InputBuffering::kOutboard:
-      node_->RegisterOutboardHandler(channel_,
-                                     [this](const OutboardFrame& f) { OnOutboardFrame(f); });
-      break;
-    case InputBuffering::kEarlyDemux:
-      break;
-  }
   node_->RegisterEndpoint(this);
 }
 
@@ -123,19 +111,19 @@ Endpoint::~Endpoint() {
   while (!named_buffers_.empty()) {
     UnregisterNamedBuffer(named_buffers_.begin()->first);
   }
-  // The node outlives the endpoint, but the fan-out handlers and gauges
-  // capture `this` — drop every registration so a frame arriving later or a
-  // metrics snapshot cannot call into freed memory, and so creating and
-  // destroying endpoints in bulk leaves the node's tables empty.
-  switch (node_->adapter().rx_buffering()) {
-    case InputBuffering::kPooled:
-      node_->UnregisterPooledHandler(channel_);
-      break;
-    case InputBuffering::kOutboard:
-      node_->UnregisterOutboardHandler(channel_);
-      break;
-    case InputBuffering::kEarlyDemux:
-      break;
+  // The node outlives the endpoint, but input postings, watchdog entries and
+  // gauges capture `this` — drop every registration so a frame arriving
+  // later, a watchdog scan or a metrics snapshot cannot call into freed
+  // memory, and so creating and destroying endpoints in bulk leaves the
+  // node's tables empty. A revoked input gives back what its prepare took.
+  for (const auto& [cancel_id, pi] : live_inputs_) {
+    if (pi->watch_id != 0) {
+      node_->reliable().Unwatch(pi->watch_id);
+    }
+    if (node_->adapter().CancelPostedReceive(channel_, cancel_id)) {
+      Charges discarded;
+      UnwindInputResources(*pi, discarded);
+    }
   }
   if (options_.register_metrics) {
     node_->metrics().UnregisterByPrefix(metric_prefix_);
@@ -222,18 +210,6 @@ Delay Endpoint::Charge(OpKind op, std::uint64_t bytes) {
 void Endpoint::FinishOperation() {
   GENIE_CHECK_GT(pending_, 0u);
   --pending_;
-}
-
-bool Endpoint::HasPreparedInput() const {
-  switch (node_->adapter().rx_buffering()) {
-    case InputBuffering::kEarlyDemux:
-      return node_->adapter().posted_receives(channel_) > 0;
-    case InputBuffering::kPooled:
-      return !pending_pooled_.empty();
-    case InputBuffering::kOutboard:
-      return !pending_outboard_.empty();
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------
@@ -910,35 +886,36 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
 
   pi->cancel_id = next_cancel_id_++;
   live_inputs_[pi->cancel_id] = pi;
-  switch (pi->mode) {
-    case InputBuffering::kEarlyDemux: {
-      Adapter::PostedReceive posted;
-      posted.target = pi->target;
-      posted.cancel_id = pi->cancel_id;
-      posted.on_complete = [this, pi](const RxCompletion& c) {
-        pi->dispose_started = true;
-        std::move(RunDisposeEarlyDemux(pi, c)).Detach();
-      };
-      node_->adapter().PostReceive(channel_, std::move(posted));
-      break;
-    }
-    case InputBuffering::kPooled:
-      pending_pooled_.push_back(pi);
-      break;
-    case InputBuffering::kOutboard:
-      pending_outboard_.push_back(pi);
-      break;
+  Adapter::PostedReceive posted;
+  if (pi->mode == InputBuffering::kEarlyDemux) {
+    posted.target = pi->target;  // Pooled and outboard devices never read it.
   }
+  posted.cancel_id = pi->cancel_id;
+  // Two plain pointers fit std::function's inline buffer. The input outlives
+  // its posting: every path that ends a waiting input revokes it first.
+  posted.on_complete = [this, input = pi.get()](RxCompletion c) {
+    input->dispose_started = true;
+    switch (input->mode) {
+      case InputBuffering::kEarlyDemux:
+        std::move(RunDisposeEarlyDemux(input->shared_from_this(), std::move(c))).Detach();
+        break;
+      case InputBuffering::kPooled:
+        std::move(RunDisposePooled(input->shared_from_this(), std::move(c))).Detach();
+        break;
+      case InputBuffering::kOutboard:
+        std::move(RunDisposeOutboard(input->shared_from_this(), std::move(c))).Detach();
+        break;
+    }
+  };
+  node_->adapter().PostReceive(channel_, std::move(posted));
 
-  bool watching = false;
-  std::uint64_t watch_id = 0;
   if (node_->reliable().watchdog_enabled()) {
-    watching = true;
-    watch_id = node_->reliable().Watch(pi->xfer, [this, pi] { return TryCancelStuckInput(pi); });
+    pi->watch_id =
+        node_->reliable().Watch(pi->xfer, [this, pi] { return TryCancelStuckInput(pi); });
   }
   co_await pi->done.Wait();
-  if (watching) {
-    node_->reliable().Unwatch(watch_id);
+  if (pi->watch_id != 0) {
+    node_->reliable().Unwatch(pi->watch_id);
   }
   co_return pi->result;
 }
@@ -1274,7 +1251,7 @@ void Endpoint::UnwireFrames(PendingInput& pi) {
 
 // --- Pooled dispose (Table 4) ---
 
-void Endpoint::DisposeInputTable4(PendingInput& pi, PooledFrame& frame, std::uint64_t n,
+void Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n,
                                   Charges& ch) {
   AddressSpace& app = *pi.app;
   PhysicalMemory& pm = app.vm().pm();
@@ -1283,20 +1260,6 @@ void Endpoint::DisposeInputTable4(PendingInput& pi, PooledFrame& frame, std::uin
   InputResult& result = pi.result;
   bool ok = true;
 
-  // Wrap the overlay pages as an offset-0 source buffer.
-  SysBuffer overlay;
-  overlay.frames = std::move(frame.overlay_pages);
-  overlay.length = frame.bytes;
-  overlay.page_offset = 0;
-  {
-    std::uint64_t remaining = frame.bytes;
-    for (const FrameId f : overlay.frames) {
-      const std::uint32_t seg =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(psz, remaining));
-      overlay.iov.segments.push_back(IoSegment{f, 0, seg});
-      remaining -= seg;
-    }
-  }
   auto release_overlay_to_pool = [&] {
     for (FrameId& f : overlay.frames) {
       if (f != kInvalidFrame) {
@@ -1498,48 +1461,28 @@ ReliableDelivery::WatchVerdict Endpoint::TryCancelStuckInput(
   if (pi->result.completed_at != 0 || pi->done.is_set()) {
     return ReliableDelivery::WatchVerdict::kCompleted;  // Raced its completion.
   }
-  switch (pi->mode) {
-    case InputBuffering::kEarlyDemux:
-      if (!node_->adapter().CancelPostedReceive(channel_, pi->cancel_id)) {
-        // The posting was consumed: a frame is mid-delivery into it. The
-        // completion handler owns the input now; extend the deadline.
-        return ReliableDelivery::WatchVerdict::kBusy;
-      }
-      break;
-    case InputBuffering::kPooled: {
-      auto it = std::find(pending_pooled_.begin(), pending_pooled_.end(), pi);
-      if (it == pending_pooled_.end()) {
-        return ReliableDelivery::WatchVerdict::kBusy;
-      }
-      pending_pooled_.erase(it);
-      break;
-    }
-    case InputBuffering::kOutboard: {
-      auto it = std::find(pending_outboard_.begin(), pending_outboard_.end(), pi);
-      if (it == pending_outboard_.end()) {
-        return ReliableDelivery::WatchVerdict::kBusy;
-      }
-      pending_outboard_.erase(it);
-      break;
-    }
+  if (!node_->adapter().CancelPostedReceive(channel_, pi->cancel_id)) {
+    // The posting was consumed: a frame is mid-delivery into it. The
+    // completion handler owns the input now; extend the deadline.
+    return ReliableDelivery::WatchVerdict::kBusy;
   }
-  CancelStuckInput(*pi);
+  ++stats_.watchdog_cancels;
+  AbortWaitingInput(*pi, IoStatus::kCancelled, " watchdog cancelled", "reliable");
   return ReliableDelivery::WatchVerdict::kCancelled;
 }
 
-void Endpoint::CancelStuckInput(PendingInput& pi) {
-  // Watchdog path: runs outside the CPU resource and charges nothing —
-  // cancellation is control-plane work off the measured data path.
+void Endpoint::AbortWaitingInput(PendingInput& pi, IoStatus status, const char* why,
+                                 const char* category) {
+  // Runs outside the CPU resource and charges nothing: aborting is
+  // control-plane work off the measured data path.
   Charges discarded;
   UnwindInputResources(pi, discarded);
   pi.result.ok = false;
-  pi.result.status = IoStatus::kCancelled;
+  pi.result.status = status;
   ++stats_.failed_inputs;
   ++stats_.recovered_transfers;
-  ++stats_.watchdog_cancels;
   if (TraceLog* trace = node_->trace(); trace != nullptr) {
-    trace->Instant(xfer_track_, pi.xfer + " watchdog cancelled", "reliable",
-                   node_->engine().now());
+    trace->Instant(xfer_track_, pi.xfer + why, category, node_->engine().now());
   }
   CompleteInput(pi);
 }
@@ -1555,23 +1498,8 @@ void Endpoint::CrashAbort() {
     }
   }
   for (const auto& pi : victims) {
-    // Control-plane unwind, like the watchdog path: no CPU charge.
-    Charges discarded;
-    UnwindInputResources(*pi, discarded);
-    pi->result.ok = false;
-    pi->result.status = IoStatus::kPeerCrashed;
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-    if (TraceLog* trace = node_->trace(); trace != nullptr) {
-      trace->Instant(xfer_track_, pi->xfer + " crash aborted", "crash",
-                     node_->engine().now());
-    }
-    CompleteInput(*pi);
+    AbortWaitingInput(*pi, IoStatus::kPeerCrashed, " crash aborted", "crash");
   }
-  // The adapter's crash wipe already dropped its postings; the endpoint-side
-  // waiting lists must match (every entry was just failed above).
-  pending_pooled_.clear();
-  pending_outboard_.clear();
 }
 
 Endpoint::ChecksumVerdict Endpoint::VerifyChecksum(PendingInput& pi, const IoVec& data,
@@ -1639,7 +1567,7 @@ Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
   CompleteInput(*pi);
 }
 
-Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFrame frame) {
+Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, RxCompletion frame) {
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
   TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
@@ -1651,24 +1579,24 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
   Charges charges;
   pi->result.crc_ok = frame.crc_ok;
   const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
+  // Wrap the overlay pages as an offset-0 source buffer.
+  SysBuffer overlay;
+  overlay.frames = std::move(frame.overlay_pages);
+  overlay.length = frame.bytes;
+  std::uint64_t remaining = frame.bytes;
+  for (const FrameId f : overlay.frames) {
+    const std::uint32_t seg = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(node_->vm().page_size(), remaining));
+    overlay.iov.segments.push_back(IoSegment{f, 0, seg});
+    remaining -= seg;
+  }
   bool failed = !frame.crc_ok;
   bool integrated_mismatch = false;
   {
     ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
     if (!failed) {
-      IoVec overlay_iov;
-      {
-        std::uint64_t remaining = frame.bytes;
-        const std::uint32_t psz = node_->vm().page_size();
-        for (const FrameId f : frame.overlay_pages) {
-          const std::uint32_t seg =
-              static_cast<std::uint32_t>(std::min<std::uint64_t>(psz, remaining));
-          overlay_iov.segments.push_back(IoSegment{f, 0, seg});
-          remaining -= seg;
-        }
-      }
       const ChecksumVerdict verdict =
-          VerifyChecksum(*pi, overlay_iov, n, frame.header, charges);
+          VerifyChecksum(*pi, overlay.iov, n, frame.header, charges);
       pi->result.checksum_ok = verdict.verified_ok;
       if (!verdict.verified_ok && !verdict.integrated) {
         failed = true;
@@ -1678,12 +1606,12 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
     }
     if (failed) {
       BufferPool& pool = *node_->adapter().pool();
-      for (const FrameId f : frame.overlay_pages) {
+      for (const FrameId f : overlay.frames) {
         pool.Free(f);
       }
       CleanupFailedInput(*pi, charges);
     } else {
-      DisposeInputTable4(*pi, frame, n, charges);
+      DisposeInputTable4(*pi, overlay, n, charges);
       if (integrated_mismatch) {
         pi->result.ok = false;
       }
@@ -1697,9 +1625,10 @@ Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFr
   CompleteInput(*pi);
 }
 
-Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, OutboardFrame frame) {
+Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, RxCompletion frame) {
   Adapter& adapter = node_->adapter();
   const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
+  const std::uint32_t handle = frame.outboard_handle;
   pi->flow = frame.flow;
   co_await node_->cpu().Acquire();
   TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
@@ -1714,7 +1643,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
   bool integrated_mismatch = false;
   if (frame.crc_ok && options_.checksum_mode != ChecksumMode::kNone && n > 0) {
     const std::uint16_t computed =
-        ChecksumOf(adapter.OutboardData(frame.handle).subspan(0, static_cast<std::size_t>(n)));
+        ChecksumOf(adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
     const bool ok = computed == static_cast<std::uint16_t>(frame.header);
     pi->result.checksum_ok = ok;
     co_await Charge(options_.checksum_mode == ChecksumMode::kIntegrated
@@ -1739,7 +1668,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     for (const auto& [op, bytes] : charges) {
       co_await Charge(op, bytes);
     }
-    adapter.FreeOutboard(frame.handle);
+    adapter.FreeOutboard(handle);
     dispose_span.End();
     node_->cpu().Release();
     CompleteInput(*pi);
@@ -1759,7 +1688,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     if (res != AccessResult::kOk) {
       // The application buffer could not be pinned (page-in or allocation
       // failed): fail the input; the staged data never left adapter memory.
-      adapter.FreeOutboard(frame.handle);
+      adapter.FreeOutboard(handle);
       pi->result.ok = false;
       pi->result.status = IoStatus::kIoError;
       ++stats_.failed_inputs;
@@ -1773,11 +1702,11 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     node_->cpu().Release();
     co_await Delay(node_->engine(), node_->Cost(OpKind::kBusTransfer, n));
     WriteToIoVec(pi->app->vm().pm(), pi->ref.iovec, 0,
-                 adapter.OutboardData(frame.handle).subspan(0, static_cast<std::size_t>(n)));
+                 adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
     co_await node_->cpu().Acquire();
     Unreference(pi->app->vm(), pi->ref);
     co_await Charge(OpKind::kUnreference, n);
-    adapter.FreeOutboard(frame.handle);
+    adapter.FreeOutboard(handle);
     pi->result.ok = true;
     pi->result.bytes = n;
     pi->result.addr = pi->va;
@@ -1787,7 +1716,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     node_->cpu().Release();
     co_await Delay(node_->engine(), node_->Cost(OpKind::kBusTransfer, n));
     WriteToIoVec(pi->app->vm().pm(), pi->target, 0,
-                 adapter.OutboardData(frame.handle).subspan(0, static_cast<std::size_t>(n)));
+                 adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
     co_await node_->cpu().Acquire();
     Charges charges;
     {
@@ -1797,7 +1726,7 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
     for (const auto& [op, bytes] : charges) {
       co_await Charge(op, bytes);
     }
-    adapter.FreeOutboard(frame.handle);
+    adapter.FreeOutboard(handle);
   }
   if (integrated_mismatch) {
     // Integrated verification: the host buffer was already written when the
@@ -1807,32 +1736,6 @@ Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, Outboa
   dispose_span.End();
   node_->cpu().Release();
   CompleteInput(*pi);
-}
-
-void Endpoint::OnPooledFrame(PooledFrame frame) {
-  if (pending_pooled_.empty()) {
-    // No pending input: drop (return overlay pages to the pool).
-    BufferPool& pool = *node_->adapter().pool();
-    for (const FrameId f : frame.overlay_pages) {
-      pool.Free(f);
-    }
-    return;
-  }
-  std::shared_ptr<PendingInput> pi = pending_pooled_.front();
-  pending_pooled_.pop_front();
-  pi->dispose_started = true;
-  std::move(RunDisposePooled(pi, std::move(frame))).Detach();
-}
-
-void Endpoint::OnOutboardFrame(const OutboardFrame& frame) {
-  if (pending_outboard_.empty()) {
-    node_->adapter().FreeOutboard(frame.handle);
-    return;
-  }
-  std::shared_ptr<PendingInput> pi = pending_outboard_.front();
-  pending_outboard_.pop_front();
-  pi->dispose_started = true;
-  std::move(RunDisposeOutboard(pi, frame)).Detach();
 }
 
 // ---------------------------------------------------------------------------

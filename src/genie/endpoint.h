@@ -118,7 +118,9 @@ class Endpoint {
   };
 
   Endpoint(Node& node, std::uint64_t channel, GenieOptions options = GenieOptions{});
-  // Releases any still-registered named buffers (drops their pinned pages).
+  // Releases any still-registered named buffers (drops their pinned pages)
+  // and revokes the postings and watchdog entries of inputs still waiting
+  // for a frame, giving back what their prepare took.
   ~Endpoint();
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
@@ -208,8 +210,8 @@ class Endpoint {
   std::size_t pending_operations() const { return pending_; }
 
   // True if at least one input has completed its prepare and is waiting for
-  // data (posted to the device / queued for pooled or outboard frames).
-  bool HasPreparedInput() const;
+  // data (posted to the device).
+  bool HasPreparedInput() const { return node_->adapter().posted_receives(channel_) > 0; }
 
   // Test hook: the next output's transport checksum is corrupted in flight.
   void CorruptNextChecksum() { corrupt_next_checksum_ = true; }
@@ -274,7 +276,7 @@ class Endpoint {
     std::function<void(IoStatus)> on_complete;
   };
 
-  struct PendingInput {
+  struct PendingInput : std::enable_shared_from_this<PendingInput> {
     explicit PendingInput(Engine& engine) : done(engine) {}
     AddressSpace* app = nullptr;
     Vaddr va = 0;
@@ -301,10 +303,11 @@ class Endpoint {
     // joined into the flow's graph by label instead).
     std::uint64_t flow = 0;
     SimTime started_at = 0;
-    // Nonzero when the transfer watchdog may cancel this input; for
-    // early-demultiplexed inputs the same id is stamped on the posted
-    // receive so the adapter-side posting can be revoked atomically.
+    // Nonzero once posted; the same id is stamped on the adapter-side
+    // posting so the watchdog and teardown can revoke it atomically.
     std::uint64_t cancel_id = 0;
+    // The transfer watchdog's id for this input (0 = not watched).
+    std::uint64_t watch_id = 0;
     // A dispose coroutine has claimed this input: the frame landed and data
     // movement is running. A node crash lets such inputs finish (the frames
     // are already local) instead of unwinding under a running dispose.
@@ -343,17 +346,20 @@ class Endpoint {
                                std::string_view to);
   // Table 3 dispose (early demultiplexed and outboard DMA targets).
   void DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch);
-  // Table 4 dispose (pooled overlay buffers).
-  void DisposeInputTable4(PendingInput& pi, PooledFrame& frame, std::uint64_t n, Charges& ch);
+  // Table 4 dispose (pooled overlay buffers, wrapped as an offset-0 source).
+  void DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n, Charges& ch);
   void CleanupFailedInput(PendingInput& pi, Charges& ch);
   // Shared unwind core (free sysbuf, unwire, unreference, restore hidden
-  // regions) used by the CRC cleanup path and the watchdog cancel path.
+  // regions) used by the CRC cleanup path and AbortWaitingInput.
   void UnwindInputResources(PendingInput& pi, Charges& ch);
   // Watchdog callback for a stuck input: kCompleted if it finished on its
-  // own, kBusy if a frame is mid-delivery, else revokes the posting/queue
-  // entry, unwinds, fails the input with IoStatus::kCancelled.
+  // own, kBusy if a frame is mid-delivery, else revokes the posting,
+  // unwinds, fails the input with IoStatus::kCancelled.
   ReliableDelivery::WatchVerdict TryCancelStuckInput(const std::shared_ptr<PendingInput>& pi);
-  void CancelStuckInput(PendingInput& pi);
+  // Fails an input still waiting for its frame (watchdog cancel, crash):
+  // unwinds its prepare, traces `why` and completes it with `status`.
+  void AbortWaitingInput(PendingInput& pi, IoStatus status, const char* why,
+                         const char* category);
 
   // Output prepare phase (trace span, kernel-fixed charge, semantics
   // fallback, checksum, cost charges). Caller holds the CPU. On success the
@@ -369,11 +375,8 @@ class Endpoint {
 
   Task<void> TransmitAndDispose(std::shared_ptr<OutputState> st);
   Task<void> RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi, RxCompletion completion);
-  Task<void> RunDisposePooled(std::shared_ptr<PendingInput> pi, PooledFrame frame);
-  Task<void> RunDisposeOutboard(std::shared_ptr<PendingInput> pi, OutboardFrame frame);
-
-  void OnPooledFrame(PooledFrame frame);
-  void OnOutboardFrame(const OutboardFrame& frame);
+  Task<void> RunDisposePooled(std::shared_ptr<PendingInput> pi, RxCompletion frame);
+  Task<void> RunDisposeOutboard(std::shared_ptr<PendingInput> pi, RxCompletion frame);
 
   struct NamedBuffer {
     explicit NamedBuffer(Engine& engine) : ready(engine) {}
@@ -429,14 +432,12 @@ class Endpoint {
   std::function<void(double)> input_latency_probe_;
   bool corrupt_next_checksum_ = false;
   std::size_t pending_ = 0;
-  std::deque<std::shared_ptr<PendingInput>> pending_pooled_;
-  std::deque<std::shared_ptr<PendingInput>> pending_outboard_;
   std::map<std::uint32_t, std::shared_ptr<NamedBuffer>> named_buffers_;
   std::uint32_t next_tag_ = 1;
   std::uint64_t next_cancel_id_ = 1;
   // Every live input keyed by cancel id, from post to completion record —
-  // the crash unwind's worklist. The deques above only cover pooled/outboard
-  // waiters; early-demux postings live adapter-side.
+  // the crash unwind's and teardown's worklist. Their postings live
+  // adapter-side.
   std::map<std::uint64_t, std::shared_ptr<PendingInput>> live_inputs_;
   // Ring API state. The deques are the rings (bounded by options_.ring_depth
   // on the submit side); cq_ready_ is set on every completion push so

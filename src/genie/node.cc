@@ -258,32 +258,6 @@ AddressSpace& Node::CreateProcess(const std::string& proc_name) {
   return as;
 }
 
-void Node::RegisterPooledHandler(std::uint64_t channel,
-                                 std::function<void(PooledFrame)> handler) {
-  if (pooled_handlers_.empty()) {
-    adapter_.set_pooled_handler([this](PooledFrame frame) {
-      auto it = pooled_handlers_.find(frame.channel);
-      GENIE_CHECK(it != pooled_handlers_.end())
-          << "pooled frame on unregistered channel " << frame.channel;
-      it->second(std::move(frame));
-    });
-  }
-  pooled_handlers_[channel] = std::move(handler);
-}
-
-void Node::RegisterOutboardHandler(std::uint64_t channel,
-                                   std::function<void(OutboardFrame)> handler) {
-  if (outboard_handlers_.empty()) {
-    adapter_.set_outboard_handler([this](OutboardFrame frame) {
-      auto it = outboard_handlers_.find(frame.channel);
-      GENIE_CHECK(it != outboard_handlers_.end())
-          << "outboard frame on unregistered channel " << frame.channel;
-      it->second(frame);
-    });
-  }
-  outboard_handlers_[channel] = std::move(handler);
-}
-
 Network::Network(Engine& engine, Node& a, Node& b)
     : link_ab_(engine, a.name() + "->" + b.name()), link_ba_(engine, b.name() + "->" + a.name()) {
   a.adapter().ConnectTo(&b.adapter(), &link_ab_);

@@ -6,7 +6,6 @@
 #define GENIE_SRC_GENIE_NODE_H_
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -54,19 +53,6 @@ class Node {
 
   // Creates a process address space owned by this node.
   AddressSpace& CreateProcess(const std::string& proc_name);
-
-  // Per-channel demultiplexing of pooled / outboard frames to endpoints
-  // (the adapter has a single handler slot; nodes fan it out).
-  void RegisterPooledHandler(std::uint64_t channel, std::function<void(PooledFrame)> handler);
-  void RegisterOutboardHandler(std::uint64_t channel,
-                               std::function<void(OutboardFrame)> handler);
-  // Endpoint teardown: drops a channel's fan-out entry so the `this`-
-  // capturing handler cannot outlive its endpoint. Registering and then
-  // destroying endpoints in bulk leaves the tables empty.
-  void UnregisterPooledHandler(std::uint64_t channel) { pooled_handlers_.erase(channel); }
-  void UnregisterOutboardHandler(std::uint64_t channel) { outboard_handlers_.erase(channel); }
-  std::size_t pooled_handler_count() const { return pooled_handlers_.size(); }
-  std::size_t outboard_handler_count() const { return outboard_handlers_.size(); }
 
   // Cost of `op` over `bytes` on this machine, as simulated time.
   SimTime Cost(OpKind op, std::uint64_t bytes) const { return cost_.Cost(op, bytes); }
@@ -202,8 +188,6 @@ class Node {
   PageoutDaemon pageout_;
   std::vector<std::unique_ptr<AddressSpace>> processes_;
   TraceLog* trace_ = nullptr;
-  std::map<std::uint64_t, std::function<void(PooledFrame)>> pooled_handlers_;
-  std::map<std::uint64_t, std::function<void(OutboardFrame)>> outboard_handlers_;
 
   std::uint32_t epoch_ = 1;  // incarnation; bumped at crash time
   bool crashed_ = false;

@@ -51,6 +51,11 @@ Testbed::Testbed(const ExperimentConfig& config) : config_(config) {
   dst_buffer_ = kDstRegion + config.dst_page_offset;
 }
 
+Testbed::~Testbed() {
+  sender_->set_trace(nullptr);
+  receiver_->set_trace(nullptr);
+}
+
 InputResult Testbed::TransferOnceMixed(std::uint64_t len, Semantics out_sem,
                                        Semantics in_sem) {
   if (pending_free_ != 0) {

@@ -56,6 +56,9 @@ struct RunResult {
 class Testbed {
  public:
   explicit Testbed(const ExperimentConfig& config);
+  // Releases the nodes' trace track claims, so a later bed can attach to the
+  // same (not owned, longer-lived) log under the same track names.
+  ~Testbed();
 
   Engine& engine() { return engine_; }
   Node& sender() { return *sender_; }

@@ -9,7 +9,8 @@ PhysicalMemory::PhysicalMemory(std::size_t num_frames, std::uint32_t page_size)
     : page_size_(page_size) {
   GENIE_CHECK_GT(num_frames, 0u);
   GENIE_CHECK_GT(page_size, 0u);
-  arena_.resize(num_frames * page_size);
+  arena_.reset(static_cast<std::byte*>(std::calloc(num_frames, page_size)));
+  GENIE_CHECK(arena_ != nullptr) << "cannot allocate " << num_frames << " frames";
   info_.resize(num_frames);
   free_runs_[0] = static_cast<FrameId>(num_frames);
   free_count_ = num_frames;
@@ -173,28 +174,28 @@ void PhysicalMemory::Free(FrameId frame) {
 
 std::span<std::byte> PhysicalMemory::Data(FrameId frame) {
   CheckValid(frame);
-  return {arena_.data() + static_cast<std::size_t>(frame) * page_size_, page_size_};
+  return {arena_.get() + static_cast<std::size_t>(frame) * page_size_, page_size_};
 }
 
 std::span<const std::byte> PhysicalMemory::Data(FrameId frame) const {
   CheckValid(frame);
-  return {arena_.data() + static_cast<std::size_t>(frame) * page_size_, page_size_};
+  return {arena_.get() + static_cast<std::size_t>(frame) * page_size_, page_size_};
 }
 
 std::span<std::byte> PhysicalMemory::DataRun(FrameId first, std::uint64_t offset,
                                              std::uint64_t length) {
   CheckValid(first);
   const std::uint64_t start = static_cast<std::uint64_t>(first) * page_size_ + offset;
-  GENIE_CHECK_LE(start + length, arena_.size()) << "frame run out of bounds";
-  return {arena_.data() + start, static_cast<std::size_t>(length)};
+  GENIE_CHECK_LE(start + length, info_.size() * page_size_) << "frame run out of bounds";
+  return {arena_.get() + start, static_cast<std::size_t>(length)};
 }
 
 std::span<const std::byte> PhysicalMemory::DataRun(FrameId first, std::uint64_t offset,
                                                    std::uint64_t length) const {
   CheckValid(first);
   const std::uint64_t start = static_cast<std::uint64_t>(first) * page_size_ + offset;
-  GENIE_CHECK_LE(start + length, arena_.size()) << "frame run out of bounds";
-  return {arena_.data() + start, static_cast<std::size_t>(length)};
+  GENIE_CHECK_LE(start + length, info_.size() * page_size_) << "frame run out of bounds";
+  return {arena_.get() + start, static_cast<std::size_t>(length)};
 }
 
 void PhysicalMemory::AddInputRef(FrameId frame) {

@@ -16,7 +16,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -162,7 +164,9 @@ class PhysicalMemory {
   void ReleaseToFreeList(FrameId frame);
 
   std::uint32_t page_size_;
-  std::vector<std::byte> arena_;
+  // The frames' bytes (info_.size() * page_size_), calloc'd: the host's fresh
+  // pages are already zero, so each faults in when a frame first touches it.
+  std::unique_ptr<std::byte[], decltype(&std::free)> arena_{nullptr, &std::free};
   std::vector<FrameInfo> info_;
   // Maximal free runs: start frame -> run length (frames). Ordered so
   // allocation is lowest-first and merges are O(log runs).

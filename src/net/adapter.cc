@@ -584,8 +584,6 @@ bool Adapter::AbortCreditWait(std::uint64_t channel, const std::shared_ptr<TxCon
 }
 
 void Adapter::PostReceive(std::uint64_t channel, PostedReceive posted) {
-  GENIE_CHECK(config_.rx_buffering == InputBuffering::kEarlyDemux)
-      << "PostReceive requires early demultiplexing";
   GENIE_CHECK(!crashed_) << "PostReceive on crashed adapter " << name_;
   posted_[channel].push_back(std::move(posted));
   Adapter* const peer = ControlPeer(channel);
@@ -862,9 +860,9 @@ void Adapter::EndRxFrame(bool crc_ok) {
       // Damaged sequenced frame: the link layer owns recovery, so the host
       // never sees it. The consumed posted buffer goes back to the *front*
       // of the queue — its flow-control credit was already spent, and the
-      // retransmission must land in the same buffer.
-      if (config_.rx_buffering == InputBuffering::kEarlyDemux && rx.posted.has_value() &&
-          !rx.named) {
+      // retransmission must land in the same buffer. (Pooled and outboard
+      // devices take no posting before the frame is accepted.)
+      if (rx.posted.has_value() && !rx.named) {
         posted_[rx.channel].push_front(std::move(*rx.posted));
       }
       for (const FrameId used : rx.overlay_pages) {
@@ -921,48 +919,44 @@ void Adapter::EndRxFrame(bool crc_ok) {
                         (crc_ok ? "" : " crc_error") + (rx.truncated ? " truncated" : ""),
                     "net", engine_.now(), rx.flow);
   }
-  switch (config_.rx_buffering) {
-    case InputBuffering::kEarlyDemux: {
-      RxCompletion completion;
-      completion.channel = rx.channel;
-      completion.header = rx.header;
-      completion.tag = rx.tag;
-      completion.bytes = std::min<std::uint64_t>(rx.bytes, rx.posted->target.total_bytes());
-      completion.seq = rx.seq;
-      completion.flow = rx.flow;
-      completion.crc_ok = crc_ok;
-      completion.truncated = rx.truncated;
-      if (rx.posted->on_complete) {
-        rx.posted->on_complete(completion);
+  if (config_.rx_buffering != InputBuffering::kEarlyDemux) {
+    // Pooled and outboard frames land in device-owned memory, so they meet
+    // the oldest posting only now, complete. With none waiting, the frame is
+    // discarded: its overlay pages go back to the pool, its staging is freed.
+    auto it = posted_.find(rx.channel);
+    if (it == posted_.end() || it->second.empty()) {
+      for (const FrameId used : rx.overlay_pages) {
+        pool_->Free(used);
       }
-      break;
+      return;
     }
-    case InputBuffering::kPooled: {
-      PooledFrame frame;
-      frame.channel = rx.channel;
-      frame.header = rx.header;
-      frame.overlay_pages = std::move(rx.overlay_pages);
-      frame.bytes = rx.bytes;
-      frame.flow = rx.flow;
-      frame.crc_ok = crc_ok;
-      GENIE_CHECK(pooled_handler_) << "no pooled handler installed";
-      pooled_handler_(std::move(frame));
+    rx.posted = std::move(it->second.front());
+    it->second.pop_front();
+  }
+  RxCompletion completion;
+  completion.channel = rx.channel;
+  completion.header = rx.header;
+  completion.tag = rx.tag;
+  completion.bytes = rx.bytes;
+  completion.seq = rx.seq;
+  completion.flow = rx.flow;
+  completion.crc_ok = crc_ok;
+  completion.truncated = rx.truncated;
+  switch (config_.rx_buffering) {
+    case InputBuffering::kEarlyDemux:
+      completion.bytes = std::min<std::uint64_t>(rx.bytes, rx.posted->target.total_bytes());
       break;
-    }
-    case InputBuffering::kOutboard: {
-      OutboardFrame frame;
-      frame.channel = rx.channel;
-      frame.header = rx.header;
-      frame.handle = next_outboard_handle_++;
-      frame.bytes = rx.bytes;
-      frame.flow = rx.flow;
-      frame.crc_ok = crc_ok;
+    case InputBuffering::kPooled:
+      completion.overlay_pages = std::move(rx.overlay_pages);
+      break;
+    case InputBuffering::kOutboard:
+      completion.outboard_handle = next_outboard_handle_++;
       outboard_bytes_held_ += rx.outboard.size();
-      outboard_[frame.handle] = std::move(rx.outboard);
-      GENIE_CHECK(outboard_handler_) << "no outboard handler installed";
-      outboard_handler_(frame);
+      outboard_[completion.outboard_handle] = std::move(rx.outboard);
       break;
-    }
+  }
+  if (rx.posted->on_complete) {
+    rx.posted->on_complete(std::move(completion));
   }
 }
 

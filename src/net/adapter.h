@@ -67,14 +67,18 @@ enum class InputBuffering : std::uint8_t {
 
 std::string_view InputBufferingName(InputBuffering b);
 
-// Completion report for an early-demultiplexed receive.
+// Completion report for a posted receive. A pooled frame arrives in
+// `overlay_pages` and an outboard frame under `outboard_handle`; the receiver
+// owns them (it returns the pages to the pool and calls FreeOutboard).
 struct RxCompletion {
   std::uint64_t channel = 0;
-  std::uint64_t bytes = 0;     // bytes delivered into the posted buffer
+  std::uint64_t bytes = 0;     // frame bytes (early demux: delivered into the target)
   std::uint32_t header = 0;    // sender-supplied per-frame header word
   std::uint32_t tag = 0;       // sender-managed buffer tag (0 = receiver-posted)
   std::uint64_t seq = 0;       // ARQ sequence number (0 = unsequenced)
   std::uint64_t flow = 0;      // causal flow id stamped by the sender (0 = none)
+  std::vector<FrameId> overlay_pages;  // pooled: drawn from the adapter's pool
+  std::uint32_t outboard_handle = 0;   // outboard: staged-frame handle
   bool crc_ok = true;
   bool truncated = false;      // frame longer than the posted buffer
 };
@@ -96,26 +100,6 @@ struct TxControl {
   std::uint32_t dst_epoch = 0;
 };
 
-// A complete frame received into pooled overlay buffers.
-struct PooledFrame {
-  std::uint64_t channel = 0;
-  std::vector<FrameId> overlay_pages;  // owned by the adapter's pool
-  std::uint64_t bytes = 0;
-  std::uint32_t header = 0;
-  std::uint64_t flow = 0;  // causal flow id stamped by the sender (0 = none)
-  bool crc_ok = true;
-};
-
-// A complete frame staged in outboard adapter memory.
-struct OutboardFrame {
-  std::uint64_t channel = 0;
-  std::uint32_t handle = 0;  // outboard buffer handle
-  std::uint64_t bytes = 0;
-  std::uint32_t header = 0;
-  std::uint64_t flow = 0;  // causal flow id stamped by the sender (0 = none)
-  bool crc_ok = true;
-};
-
 class Adapter {
  public:
   struct Config {
@@ -123,10 +107,11 @@ class Adapter {
     std::size_t pool_pages = 64;        // pooled mode
     std::size_t chunk_bytes = 4096;     // streaming granularity (page)
     // Credit-based flow control (the Credit Net scheme, paper refs [2],
-    // [14]): each receiver-posted buffer returns one credit to the sender;
-    // transmission blocks with no credit, so frames are never dropped for
-    // lack of a posted buffer. Early-demultiplexed buffering only; tagged
-    // (sender-managed) frames bypass credits, as their buffers persist.
+    // [14]): each posted receive returns one credit to the sender, in any
+    // input-buffering mode; transmission blocks with no credit, so frames
+    // are never dropped for lack of a posted buffer. Tagged (sender-managed)
+    // frames bypass credits, as their buffers persist. Every caller that
+    // enables it runs early-demultiplexed receivers.
     bool flow_control = false;
     SimTime credit_latency = 5 * kMicrosecond;  // control-cell return time
     // Outboard adapter memory capacity (Section 6.2.3 notes outboard
@@ -187,21 +172,26 @@ class Adapter {
                            std::uint32_t tag = 0, std::shared_ptr<TxControl> ctl = nullptr,
                            std::uint64_t flow = 0);
 
-  // --- Early-demultiplexed receive ---
+  // --- Posted receives (every input-buffering mode) ---
+  // An input waiting for a frame. Early-demultiplexed devices take the
+  // oldest posting when a frame begins and DMA into `target` as it arrives;
+  // pooled and outboard devices ignore `target` and hand the oldest posting
+  // the frame once it is complete (with no posting, they discard the frame
+  // uncounted). `on_complete` receives the frame's RxCompletion.
   struct PostedReceive {
     IoVec target;
-    std::function<void(const RxCompletion&)> on_complete;
+    std::function<void(RxCompletion)> on_complete;
     // Nonzero ids make the posting cancellable via CancelPostedReceive
-    // (transfer watchdog unwinding a stuck input).
+    // (transfer watchdog unwinding a stuck input, endpoint teardown).
     std::uint64_t cancel_id = 0;
   };
-  // Queues a host buffer on the channel's input buffer list.
+  // Queues a posting on the channel's input list.
   void PostReceive(std::uint64_t channel, PostedReceive posted);
   std::size_t posted_receives(std::uint64_t channel) const;
 
-  // Removes a still-queued posted receive (watchdog cancellation). Returns
-  // false if the buffer is gone — already consumed by an arriving frame or
-  // mid-delivery — in which case the caller must wait for its completion.
+  // Removes a still-queued posted receive. Returns false if the posting is
+  // gone — already consumed by an arriving frame or mid-delivery — in which
+  // case the caller must wait for its completion.
   // Under flow control the credit granted for the posting is deliberately
   // not revoked: the sender may still transmit into the vacated slot and the
   // frame is then dropped and nacked, which the ARQ layer absorbs.
@@ -214,15 +204,7 @@ class Adapter {
   void RegisterNamedBuffer(std::uint64_t channel, std::uint32_t tag, PostedReceive buffer);
   void UnregisterNamedBuffer(std::uint64_t channel, std::uint32_t tag);
 
-  // --- Pooled receive ---
-  void set_pooled_handler(std::function<void(PooledFrame)> handler) {
-    pooled_handler_ = std::move(handler);
-  }
-
   // --- Outboard receive ---
-  void set_outboard_handler(std::function<void(OutboardFrame)> handler) {
-    outboard_handler_ = std::move(handler);
-  }
   // Reads out of / releases outboard memory (host-side DMA endpoints).
   std::span<const std::byte> OutboardData(std::uint32_t handle) const;
   void FreeOutboard(std::uint32_t handle);
@@ -367,7 +349,7 @@ class Adapter {
     std::uint32_t src_epoch = 0;
     std::uint32_t dst_epoch = 0;
     bool crc_failed = false;
-    // Early demux:
+    // Taken at BeginRxFrame (early demux) or EndRxFrame (pooled, outboard).
     std::optional<PostedReceive> posted;
     bool named = false;  // posted came from the named-buffer registry
     bool truncated = false;
@@ -524,8 +506,6 @@ class Adapter {
 
   std::map<std::uint64_t, std::deque<PostedReceive>> posted_;
   std::map<std::pair<std::uint64_t, std::uint32_t>, PostedReceive> named_;
-  std::function<void(PooledFrame)> pooled_handler_;
-  std::function<void(OutboardFrame)> outboard_handler_;
   std::unique_ptr<BufferPool> pool_;
   std::map<std::uint32_t, std::vector<std::byte>> outboard_;
   std::size_t outboard_bytes_held_ = 0;  // stored frames + in-progress rx

@@ -56,13 +56,34 @@ constexpr Golden kSeedGoldens[] = {
     {Semantics::kEmulatedWeakMove, 0xc15a35c68752696aull, 0x451a2b2dedd080b0ull, 304},
 };
 
-class DeterminismRegressionTest : public ::testing::TestWithParam<Golden> {};
+// Outboard input buffering, otherwise the scenario above. Captured at commit
+// 5d0881d, before pooled and outboard inputs posted to the adapter the way
+// early-demultiplexed ones do.
+constexpr Golden kOutboardGoldens[] = {
+    {Semantics::kCopy, 0xf217a5442d538bffull, 0xd3111a1b16c29c70ull, 279},
+    {Semantics::kEmulatedCopy, 0xe7dbf4105ac09752ull, 0x0afc30d3178da4b1ull, 295},
+    {Semantics::kShare, 0x33d6a59198480481ull, 0x3a99a9f27d37c491ull, 276},
+    {Semantics::kEmulatedShare, 0xfb60bf64f4bb0e7bull, 0x1df7cc8294229024ull, 297},
+    {Semantics::kMove, 0x72cca49a6a6641b0ull, 0xf0804563c863d6c1ull, 274},
+    {Semantics::kEmulatedMove, 0x468d9806fd655f9bull, 0x54c204685abc60caull, 295},
+    {Semantics::kWeakMove, 0x737d7189b919ac86ull, 0xb380cdfda7397e2bull, 284},
+    {Semantics::kEmulatedWeakMove, 0x48d16b413ce6fe77ull, 0x839446c20f2bdce4ull, 305},
+};
 
-TEST_P(DeterminismRegressionTest, MatchesSeedGolden) {
-  const Golden& g = GetParam();
+std::string GoldenName(const ::testing::TestParamInfo<Golden>& param_info) {
+  std::string name(SemanticsName(param_info.param.sem));
+  for (char& c : name) {
+    if (c == ' ') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
+void ExpectGolden(InputBuffering mode, const Golden& g) {
   const Semantics sem = g.sem;
   TraceLog trace;
-  Rig rig(InputBuffering::kPooled);
+  Rig rig(mode);
   rig.sender.set_trace(&trace);
   rig.receiver.set_trace(&trace);
   constexpr Vaddr kBuf = 0x20000000;
@@ -88,17 +109,23 @@ TEST_P(DeterminismRegressionTest, MatchesSeedGolden) {
       << SemanticsName(sem) << ": critical-path JSON changed:\n" << json;
 }
 
+class DeterminismRegressionTest : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(DeterminismRegressionTest, MatchesSeedGolden) {
+  ExpectGolden(InputBuffering::kPooled, GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSemantics, DeterminismRegressionTest,
-                         ::testing::ValuesIn(kSeedGoldens),
-                         [](const ::testing::TestParamInfo<Golden>& param_info) {
-                           std::string name(SemanticsName(param_info.param.sem));
-                           for (char& c : name) {
-                             if (c == ' ') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ::testing::ValuesIn(kSeedGoldens), GoldenName);
+
+class OutboardDeterminismTest : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(OutboardDeterminismTest, MatchesGolden) {
+  ExpectGolden(InputBuffering::kOutboard, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSemantics, OutboardDeterminismTest,
+                         ::testing::ValuesIn(kOutboardGoldens), GoldenName);
 
 // The goldens above hold even after the parallel machinery has actually
 // *run* in the same process: a prior RunParallelFused must leave no global

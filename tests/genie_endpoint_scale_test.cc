@@ -1,9 +1,11 @@
 // Endpoint bulk lifecycle: a fabric workload creates endpoints by the
 // thousand, so (a) construction must be cheap — GenieOptions::register_metrics
 // = false adds nothing to the node's metrics registry — and (b) destruction
-// must leave every per-channel table empty: gauges, pooled/outboard fan-out
-// handlers, and fabric routes. A single stale entry here is a dangling `this`
-// capture waiting for the next snapshot or frame arrival.
+// must leave every per-channel table empty: gauges and fabric routes. A
+// single stale entry here is a dangling `this` capture waiting for the next
+// snapshot or frame arrival. Revoking the posting of an input still waiting
+// at teardown is covered, per input-buffering mode, by
+// genie_posted_input_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -98,14 +100,6 @@ TEST(EndpointScaleTest, ThousandsOfEndpointsTearDownClean) {
       endpoints.push_back(std::make_unique<Endpoint>(tx, ch));
       endpoints.push_back(std::make_unique<Endpoint>(rx, ch));
     }
-    // Every endpoint hooked its channel into its node's fan-out table.
-    if (mode == InputBuffering::kPooled) {
-      std::size_t handlers = 0;
-      for (const auto& n : nodes) {
-        handlers += n->pooled_handler_count();
-      }
-      EXPECT_EQ(handlers, 2 * kChannels);
-    }
 
     // The population is live, not inert: drive golden transfers through a
     // sample of channels spread across the id space.
@@ -145,8 +139,6 @@ TEST(EndpointScaleTest, ThousandsOfEndpointsTearDownClean) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       EXPECT_EQ(nodes[i]->metrics().gauge_count(), baseline[i])
           << "node " << i << " mode " << static_cast<int>(mode);
-      EXPECT_EQ(nodes[i]->pooled_handler_count(), 0u) << "node " << i;
-      EXPECT_EQ(nodes[i]->outboard_handler_count(), 0u) << "node " << i;
       // A snapshot after teardown must not touch freed endpoints.
       (void)nodes[i]->metrics().Snapshot();
     }

@@ -8,6 +8,7 @@
 
 #include "src/analysis/latency_model.h"
 #include "src/analysis/linear_fit.h"
+#include "src/sim/trace.h"
 
 namespace genie {
 namespace {
@@ -151,6 +152,35 @@ TEST(HarnessTest, OpSamplesCollectedWhenRequested) {
   const LinearFit fit = FitLine(pts);
   EXPECT_NEAR(fit.slope, 0.000363, 1e-5);
   EXPECT_NEAR(fit.intercept, 5.0, 0.3);
+}
+
+// A bed attaches its nodes to a trace log it does not own and that outlives
+// it. Destroying the bed must release the nodes' track names: otherwise the
+// next bed on the same log aborts claiming them.
+TEST(HarnessTest, DestroyedTestbedReleasesTraceTracks) {
+  TraceLog log;
+  ExperimentConfig config;
+  config.trace = &log;
+  { Testbed bed(config); }
+  const int other_owner = 0;
+  log.RegisterNode(&other_owner, "tx.xfer");
+  log.RegisterNode(&other_owner, "rx.xfer");
+}
+
+// Experiment::Run builds one bed per length, so two sweeps on one log attach
+// four beds to it in turn.
+TEST(HarnessTest, TwoSweepsShareOneTraceLog) {
+  TraceLog log;
+  ExperimentConfig config;
+  config.trace = &log;
+  config.repetitions = 1;
+  Experiment experiment(config);
+  const std::vector<std::uint64_t> lengths = {4096, 8192};
+  ASSERT_EQ(experiment.Run(Semantics::kCopy, lengths).samples.size(), 2u);
+  const std::size_t first_sweep_events = log.event_count();
+  EXPECT_GT(first_sweep_events, 0u);
+  ASSERT_EQ(experiment.Run(Semantics::kEmulatedCopy, lengths).samples.size(), 2u);
+  EXPECT_GT(log.event_count(), first_sweep_events);
 }
 
 TEST(HarnessTest, ThroughputHelper) {

@@ -1,5 +1,6 @@
 #include "src/mem/phys_memory.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 
@@ -66,6 +67,26 @@ TEST(PhysMemoryTest, DataSpansAreDisjointAndPageSized) {
   std::memset(db.data(), 0x55, db.size());
   EXPECT_EQ(static_cast<unsigned char>(da[0]), 0xAA);
   EXPECT_EQ(static_cast<unsigned char>(db[0]), 0x55);
+}
+
+TEST(PhysMemoryTest, NeverTouchedFramesReadZero) {
+  // The arena is not written at construction, yet every frame starts zeroed,
+  // even where the host reuses memory an earlier arena dirtied: simulated
+  // results must not depend on what that memory held.
+  constexpr std::size_t kFrames = 8;
+  {
+    PhysicalMemory dirty(kFrames, kPage);
+    for (std::size_t i = 0; i < kFrames; ++i) {
+      const auto data = dirty.Data(dirty.Allocate());
+      std::memset(data.data(), 0xA5, data.size());
+    }
+  }
+  PhysicalMemory pm(kFrames, kPage);
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    const auto data = pm.Data(pm.Allocate());
+    const auto is_zero = [](std::byte b) { return b == std::byte{0}; };
+    EXPECT_TRUE(std::all_of(data.begin(), data.end(), is_zero)) << "frame " << i;
+  }
 }
 
 TEST(PhysMemoryTest, AllocateZeroedClearsResidue) {

@@ -219,8 +219,8 @@ TEST_F(AdapterTest, PooledReceiveFillsOverlayPages) {
   auto rx = MakeRx(InputBuffering::kPooled, 8);
   tx->ConnectTo(rx.get(), &link_);
   const IoVec src = MakeBuffer(2 * kPage + 100, 3);
-  std::optional<PooledFrame> got;
-  rx->set_pooled_handler([&](PooledFrame f) { got = std::move(f); });
+  std::optional<RxCompletion> got;
+  rx->PostReceive(4, Adapter::PostedReceive{{}, [&](RxCompletion c) { got = std::move(c); }});
   std::move(tx->TransmitFrame(4, src)).Detach();
   eng_.Run();
 
@@ -245,10 +245,11 @@ TEST_F(AdapterTest, PoolDepletionDropsFrameAndRecyclesPages) {
   tx->ConnectTo(rx.get(), &link_);
   const IoVec src = MakeBuffer(4 * kPage, 3);  // Needs 4 overlay pages; pool has 2.
   bool handler_called = false;
-  rx->set_pooled_handler([&](PooledFrame) { handler_called = true; });
+  rx->PostReceive(4, Adapter::PostedReceive{{}, [&](RxCompletion) { handler_called = true; }});
   std::move(tx->TransmitFrame(4, src)).Detach();
   eng_.Run();
   EXPECT_FALSE(handler_called);
+  EXPECT_EQ(rx->posted_receives(4), 1u);  // The dropped frame consumed no posting.
   EXPECT_EQ(rx->frames_dropped_no_buffer(), 1u);
   EXPECT_EQ(rx->drops_pool_exhausted(), 1u);
   EXPECT_EQ(rx->pool()->available(), 2u);  // Pages returned.
@@ -259,8 +260,8 @@ TEST_F(AdapterTest, OutboardReceiveStagesFrame) {
   auto rx = MakeRx(InputBuffering::kOutboard);
   tx->ConnectTo(rx.get(), &link_);
   const IoVec src = MakeBuffer(kPage + 17, 9);
-  std::optional<OutboardFrame> got;
-  rx->set_outboard_handler([&](OutboardFrame f) { got = f; });
+  std::optional<RxCompletion> got;
+  rx->PostReceive(2, Adapter::PostedReceive{{}, [&](RxCompletion c) { got = std::move(c); }});
   std::move(tx->TransmitFrame(2, src)).Detach();
   eng_.Run();
 
@@ -268,10 +269,10 @@ TEST_F(AdapterTest, OutboardReceiveStagesFrame) {
   EXPECT_EQ(got->bytes, kPage + 17);
   std::vector<std::byte> sent(kPage + 17);
   ReadFromIoVec(pm_, src, 0, sent);
-  auto data = rx->OutboardData(got->handle);
+  auto data = rx->OutboardData(got->outboard_handle);
   ASSERT_EQ(data.size(), sent.size());
   EXPECT_EQ(std::memcmp(data.data(), sent.data(), sent.size()), 0);
-  rx->FreeOutboard(got->handle);
+  rx->FreeOutboard(got->outboard_handle);
   EXPECT_EQ(rx->outboard_frames_held(), 0u);
 }
 
@@ -330,10 +331,12 @@ TEST_F(AdapterTest, OutboardCapacityOverflowDropsFrame) {
   tx->ConnectTo(rx.get(), &link_);
   int delivered = 0;
   std::vector<std::uint32_t> handles;
-  rx->set_outboard_handler([&](OutboardFrame f) {
-    ++delivered;
-    handles.push_back(f.handle);
-  });
+  for (int i = 0; i < 2; ++i) {
+    rx->PostReceive(1, Adapter::PostedReceive{{}, [&](RxCompletion c) {
+                                                ++delivered;
+                                                handles.push_back(c.outboard_handle);
+                                              }});
+  }
   const IoVec two_pages = MakeBuffer(2 * kPage, 1);
   // First frame fits (2 pages <= 3); second would exceed held+incoming.
   std::move(tx->TransmitFrame(1, two_pages)).Detach();
