@@ -92,6 +92,54 @@ if ! diff -u build/table6_untraced.txt build/table6_traced.txt; then
   exit 1
 fi
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' build/table6_trace.json
+# The paper reproduction: every paper bench (all of build/bench/ except the
+# wall-clock bench_hostpath and bench_micro_ops) and every example prints
+# only simulated results, so each one's stdout is pinned by its sha256. A
+# change to the cost model, a semantics or the simulated clock fails here,
+# naming the binaries whose output moved.
+echo "paper reproduction pin"
+PAPER_PIN=$(cat <<'EOF'
+7f6e57f268d8f8a3880cd982cc0af747e626312967cfd2700e9ac7d767ee30ac  bench_ablation_optimizations
+ade06a1553def066634919c5559fc74637734a13d074a101d476108f6424278f  bench_ablation_thresholds
+dee988c533993a101fa8e6077b650ac62f86afa90cef2893ebad4c31dea72ea8  bench_checksum_integration
+4d93dc440b9ed6612a87369e0fd77c3669db18d9aa0a60e436fd3c71cc8b60a5  bench_fig3_latency_early_demux
+50c9ee59efb655a5f6829799dc5a6b07f3c0b62ae42f3e5b41b3403153f5db89  bench_fig4_cpu_utilization
+7e5602338e40ddeddb9817d9818482cea57253df8f8c354476280ed4d6995252  bench_fig5_short_datagrams
+509d83956e427b80e62034a3b8529aceb6b7feac68ada5cb8393ea9caa7349a6  bench_fig6_pooled_aligned
+9f24805a00419b2c1441bde446cbbd704be4c5582a93c53822bdca754e2ecd22  bench_fig7_pooled_unaligned
+d157a2bbf7b3f31bc80df4ceec17e390cd2a364be6fa930978baa17c1f318c93  bench_link_speed_sweep
+e635ffe44c3e2c380cc96458588b63cb1d234fb160ba39e5b7de90b5e82ec9f4  bench_message_throughput
+2c3d3e1924fbb59fe9cbcb65fd55321a2ff703814737d8af55ca67c47d3908de  bench_mixed_semantics
+2341a70160b7e4b2f58db809343d2856cf4216ac6bc45156ea94d9b677156589  bench_oc12_extrapolation
+90c184ab97e387d7724ad3d26f39aeb073024d2f7825a9afb5743a657584dd4d  bench_outboard_prediction
+946d5951718c81d3517f9f39f20f427a99d7aced9afedf284e62904be65953b7  bench_sender_managed
+2fbac2bf0f9021fb476241ccd4c531fe474b975eff71332e1764c738cc679247  bench_table1_lan_history
+520ff7ce1e711d7bfe77e23f21b9fdcdc2d05c754f89db5654f36b03eef4d04c  bench_table6_primitive_ops
+2b0a19e1aec91010738c9d0eb82233d61be1a55c084ff1cda09622e80b4a404b  bench_table7_model_vs_actual
+fc02f10d97ee82eaad8c04d8090ba8658f0c195789b0bbeb7b88bd399b5a13e6  bench_table8_scaling
+52470aa56bf9aa07a65015fa0fb52098f814280e125b6c11c9faec39bc5d0257  file_transfer
+d0d553a823a6fd13f492b0193b39d348e510c191e04ab76efc399fea4869191f  media_streaming
+a76f4f0deb3a79b74fe3746d10641cd1ecf61878853d04d69f5a2ed9cdf89433  quickstart
+b84862a572ca1dd30361475f16fdfb5a515647137009c1d61c39eeb0cd1bf23f  rpc_pingpong
+c7947518f830ddca1e5c5b2ed14b5e684d7ba3b6fa2ebc71973d95e9dba5704c  semantics_tour
+fa5aa348403896b2c0ba2f6dbe5492b40134fded6802fb12ba3537f9c715ea68  sweep_cli
+EOF
+)
+mkdir -p build/paper_pin
+while read -r _ name; do
+  dir=examples
+  [[ $name == bench_* ]] && dir=bench
+  if ! "build/$dir/$name" > "build/paper_pin/$name"; then
+    echo "paper reproduction pin failed: $name exited nonzero"
+    exit 1
+  fi
+done <<< "$PAPER_PIN"
+# Each output file is named after its binary, so a mismatch prints
+# "<binary>: FAILED".
+if ! (cd build/paper_pin && sha256sum --check --quiet <<< "$PAPER_PIN"); then
+  echo "paper reproduction pin failed: the binaries marked FAILED print other output than pinned"
+  exit 1
+fi
 
 echo "=== tier-1: host-speed benchmark builds and runs ==="
 # Nothing else builds perfbench/ (the host-speed benchmark), so a src/ API

@@ -857,28 +857,18 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   prepare_span.End();
   node_->cpu().Release();
 
-  if (prep != IoStatus::kOk) {
-    // The input was never posted; prepare unwound everything it did. The
-    // failure is reported to the caller instead of aborting the kernel.
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-    pi->result.ok = false;
-    pi->result.status = prep;
-    pi->result.completed_at = node_->engine().now();
-    FinishOperation();
-    co_return pi->result;
-  }
-
-  if (node_->crashed()) {
+  if (prep == IoStatus::kOk && node_->crashed()) {
     // The crash landed while prepare held the CPU (the crash unwind cannot
     // see an input that is not yet posted). Undo the prepare and fail, as
     // the crash unwind would have; PostReceive on a crashed adapter aborts.
     Charges discarded;
     UnwindInputResources(*pi, discarded);
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-    pi->result.ok = false;
-    pi->result.status = IoStatus::kPeerCrashed;
+    prep = IoStatus::kPeerCrashed;
+  }
+  if (prep != IoStatus::kOk) {
+    // The input was never posted and holds nothing. The failure is reported
+    // to the caller instead of aborting the kernel.
+    FailInput(*pi, prep);
     pi->result.completed_at = node_->engine().now();
     FinishOperation();
     co_return pi->result;
@@ -895,17 +885,7 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   // its posting: every path that ends a waiting input revokes it first.
   posted.on_complete = [this, input = pi.get()](RxCompletion c) {
     input->dispose_started = true;
-    switch (input->mode) {
-      case InputBuffering::kEarlyDemux:
-        std::move(RunDisposeEarlyDemux(input->shared_from_this(), std::move(c))).Detach();
-        break;
-      case InputBuffering::kPooled:
-        std::move(RunDisposePooled(input->shared_from_this(), std::move(c))).Detach();
-        break;
-      case InputBuffering::kOutboard:
-        std::move(RunDisposeOutboard(input->shared_from_this(), std::move(c))).Detach();
-        break;
-    }
+    std::move(RunDispose(input->shared_from_this(), std::move(c))).Detach();
   };
   node_->adapter().PostReceive(channel_, std::move(posted));
 
@@ -953,9 +933,12 @@ IoStatus Endpoint::PrepareInput(PendingInput& pi, Charges& ch) {
   const std::uint64_t len = pi.len;
 
   switch (pi.sem) {
-    case Semantics::kCopy: {
+    case Semantics::kCopy:
+    case Semantics::kMove: {
       // Ready-time system buffer (charged here: preposted input overlaps
-      // ready-time work with the sender and the network).
+      // ready-time work with the sender and the network). Basic move makes
+      // its region from it at dispose time. Pooled devices need none: the
+      // frame lands in overlay pages.
       if (pi.mode != InputBuffering::kPooled) {
         if (!node_->TryEnsureFreeFrames(CeilPages(len, psz)) ||
             !TryAllocateSysBuffer(pm, 0, len, &pi.sysbuf)) {
@@ -1014,19 +997,6 @@ IoStatus Endpoint::PrepareInput(PendingInput& pi, Charges& ch) {
         ch.Add(OpKind::kWire, len);
       }
       pi.target = pi.ref.iovec;
-      break;
-    }
-    case Semantics::kMove: {
-      // System buffer; the region is created at dispose time.
-      if (pi.mode != InputBuffering::kPooled) {
-        if (!node_->TryEnsureFreeFrames(CeilPages(len, psz)) ||
-            !TryAllocateSysBuffer(pm, 0, len, &pi.sysbuf)) {
-          return IoStatus::kNoMemory;
-        }
-        pi.has_sysbuf = true;
-        pi.target = pi.sysbuf.iov;
-        ch.Add(OpKind::kOverlayAllocate, 0);
-      }
       break;
     }
     case Semantics::kEmulatedMove:
@@ -1124,7 +1094,7 @@ Region* Endpoint::CheckOrRemapRegion(PendingInput& pi, Charges& ch) {
 
 // --- Early demultiplexed / outboard dispose (Table 3) ---
 
-void Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch) {
+bool Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch) {
   AddressSpace& app = *pi.app;
   PhysicalMemory& pm = app.vm().pm();
   InputResult& result = pi.result;
@@ -1141,7 +1111,12 @@ void Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
       break;
     }
     case Semantics::kEmulatedCopy: {
-      if (pi.sysbuf.page_offset == pi.va % pm.page_size()) {
+      if (!pi.has_sysbuf) {
+        // Outboard (Section 6.2.3): no aligned buffer, no swap. The data was
+        // DMAed straight into the referenced application pages.
+        Unreference(app.vm(), pi.ref);
+        ch.Add(OpKind::kUnreference, n);
+      } else if (pi.sysbuf.page_offset == pi.va % pm.page_size()) {
         const DisposePlan plan = DisposeAligned(pi, pi.va, n, pi.sysbuf, /*to_pool=*/false, ch);
         ok = plan.ok;
       } else {
@@ -1167,31 +1142,8 @@ void Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
       break;
     }
     case Semantics::kMove: {
-      // Create region; zero-complete system pages and fill region; map.
-      const std::uint32_t psz = pm.page_size();
-      const std::uint64_t pages = CeilPages(n, psz);
-      const std::uint64_t rlen = pages * psz;
-      const Vaddr addr = app.FindFreeRange(rlen);
-      Region* region = app.CreateRegion(addr, rlen, RegionState::kMovedIn);
-      ch.Add(OpKind::kRegionCreate, 0);
-      // Zero the tail of the last page (protection: frames may carry other
-      // processes' residue).
-      if (n < rlen) {
-        const FrameId last = pi.sysbuf.frames[pages - 1];
-        auto data = pm.Data(last);
-        std::memset(data.data() + (n - (pages - 1) * psz), 0,
-                    static_cast<std::size_t>(rlen - n));
-      }
-      ch.Add(OpKind::kZeroFill, rlen - n);
-      for (std::uint64_t i = 0; i < pages; ++i) {
-        region->object->InsertPage(i, pi.sysbuf.frames[i]);
-        pi.sysbuf.frames[i] = kInvalidFrame;  // Donated to the region.
-      }
-      ch.Add(OpKind::kRegionFill, n);
-      MapRegionPages(app, *region);
-      ch.Add(OpKind::kRegionMap, n);
-      FreeSysBuffer(pm, pi.sysbuf);  // Frames beyond `pages`, if any.
-      result.addr = addr;
+      result.addr = MoveIntoNewRegion(app, pi.sysbuf, n, OpKind::kRegionFill, ch);
+      FreeSysBuffer(pm, pi.sysbuf);  // Frames beyond the region's, if any.
       break;
     }
     case Semantics::kEmulatedMove: {
@@ -1231,13 +1183,33 @@ void Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
     UnwireFrames(pi);
     ch.Add(OpKind::kUnwire, n);
   }
-  result.ok = ok;
-  result.bytes = n;
-  if (!ok) {
-    result.status = IoStatus::kIoError;
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
+  return ok;
+}
+
+Vaddr Endpoint::MoveIntoNewRegion(AddressSpace& app, SysBuffer& src, std::uint64_t n,
+                                  OpKind fill_op, Charges& ch) {
+  PhysicalMemory& pm = app.vm().pm();
+  const std::uint32_t psz = pm.page_size();
+  const std::uint64_t pages = CeilPages(n, psz);
+  const std::uint64_t rlen = pages * psz;
+  const Vaddr addr = app.FindFreeRange(rlen);
+  Region* region = app.CreateRegion(addr, rlen, RegionState::kMovedIn);
+  ch.Add(OpKind::kRegionCreate, 0);
+  // Zero the tail of the last page (protection: frames may carry other
+  // processes' residue).
+  if (n < rlen) {
+    auto data = pm.Data(src.frames[pages - 1]);
+    std::memset(data.data() + (n - (pages - 1) * psz), 0, static_cast<std::size_t>(rlen - n));
   }
+  ch.Add(OpKind::kZeroFill, rlen - n);
+  for (std::uint64_t i = 0; i < pages; ++i) {
+    region->object->InsertPage(i, src.frames[i]);
+    src.frames[i] = kInvalidFrame;  // Donated to the region.
+  }
+  ch.Add(fill_op, n);
+  MapRegionPages(app, *region);
+  ch.Add(OpKind::kRegionMap, n);
+  return addr;
 }
 
 void Endpoint::UnwireFrames(PendingInput& pi) {
@@ -1251,7 +1223,7 @@ void Endpoint::UnwireFrames(PendingInput& pi) {
 
 // --- Pooled dispose (Table 4) ---
 
-void Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n,
+bool Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n,
                                   Charges& ch) {
   AddressSpace& app = *pi.app;
   PhysicalMemory& pm = app.vm().pm();
@@ -1308,31 +1280,10 @@ void Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uin
       break;
     }
     case Semantics::kMove: {
-      // Create region; zero-complete overlay pages, fill region and refill
-      // overlay buffer; map region.
-      const std::uint64_t pages = CeilPages(n, psz);
-      const std::uint64_t rlen = pages * psz;
-      const Vaddr addr = app.FindFreeRange(rlen);
-      Region* region = app.CreateRegion(addr, rlen, RegionState::kMovedIn);
-      ch.Add(OpKind::kRegionCreate, 0);
-      if (n < rlen) {
-        const FrameId last = overlay.frames[pages - 1];
-        auto data = pm.Data(last);
-        std::memset(data.data() + (n - (pages - 1) * psz), 0,
-                    static_cast<std::size_t>(rlen - n));
-      }
-      ch.Add(OpKind::kZeroFill, rlen - n);
-      for (std::uint64_t i = 0; i < pages; ++i) {
-        region->object->InsertPage(i, overlay.frames[i]);
-        overlay.frames[i] = kInvalidFrame;  // Donated; pool must be refilled.
-      }
-      pool.Refill(pages);
-      ch.Add(OpKind::kRegionFillOverlayRefill, n);
-      MapRegionPages(app, *region);
-      ch.Add(OpKind::kRegionMap, n);
-      release_overlay_to_pool();  // Pages beyond `pages`, if any.
+      result.addr = MoveIntoNewRegion(app, overlay, n, OpKind::kRegionFillOverlayRefill, ch);
+      pool.Refill(CeilPages(n, psz));  // In place of the donated pages.
+      release_overlay_to_pool();       // Pages beyond the region's, if any.
       ch.Add(OpKind::kOverlayDeallocate, n);
-      result.addr = addr;
       break;
     }
     case Semantics::kEmulatedMove:
@@ -1370,13 +1321,7 @@ void Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uin
     pool.Refill(pi.deferred_retire.size());
     pi.deferred_retire.clear();
   }
-  result.ok = ok;
-  result.bytes = n;
-  if (!ok) {
-    result.status = IoStatus::kIoError;
-    ++stats_.failed_inputs;
-    ++stats_.recovered_transfers;
-  }
+  return ok;
 }
 
 DisposePlan Endpoint::DisposeAligned(PendingInput& pi, Vaddr va, std::uint64_t n,
@@ -1447,11 +1392,9 @@ void Endpoint::UnwindInputResources(PendingInput& pi, Charges& ch) {
   }
 }
 
-void Endpoint::CleanupFailedInput(PendingInput& pi, Charges& ch) {
-  ++stats_.crc_failures;
-  UnwindInputResources(pi, ch);
+void Endpoint::FailInput(PendingInput& pi, IoStatus status) {
   pi.result.ok = false;
-  pi.result.status = IoStatus::kIoError;
+  pi.result.status = status;
   ++stats_.failed_inputs;
   ++stats_.recovered_transfers;
 }
@@ -1477,10 +1420,7 @@ void Endpoint::AbortWaitingInput(PendingInput& pi, IoStatus status, const char* 
   // control-plane work off the measured data path.
   Charges discarded;
   UnwindInputResources(pi, discarded);
-  pi.result.ok = false;
-  pi.result.status = status;
-  ++stats_.failed_inputs;
-  ++stats_.recovered_transfers;
+  FailInput(pi, status);
   if (TraceLog* trace = node_->trace(); trace != nullptr) {
     trace->Instant(xfer_track_, pi.xfer + why, category, node_->engine().now());
   }
@@ -1488,9 +1428,9 @@ void Endpoint::AbortWaitingInput(PendingInput& pi, IoStatus status, const char* 
 }
 
 void Endpoint::CrashAbort() {
-  // Inputs whose dispose already claimed them run to completion (their
-  // frames are local); everything else waiting for data is unwound. Collect
-  // first — failing an input erases it from live_inputs_.
+  // Inputs whose dispose already claimed them run to completion (the device
+  // has handed their frames over); everything else waiting for data is
+  // unwound. Collect first — failing an input erases it from live_inputs_.
   std::vector<std::shared_ptr<PendingInput>> victims;
   for (const auto& [id, pi] : live_inputs_) {
     if (!pi->dispose_started) {
@@ -1502,236 +1442,150 @@ void Endpoint::CrashAbort() {
   }
 }
 
-Endpoint::ChecksumVerdict Endpoint::VerifyChecksum(PendingInput& pi, const IoVec& data,
-                                                   std::uint64_t n, std::uint32_t header,
+Endpoint::ChecksumVerdict Endpoint::VerifyChecksum(PendingInput& pi, const RxCompletion& frame,
+                                                   const SysBuffer& overlay, std::uint64_t n,
                                                    Charges& ch) {
   ChecksumVerdict verdict;
   if (options_.checksum_mode == ChecksumMode::kNone || n == 0) {
     return verdict;
   }
-  const std::uint16_t computed = ChecksumOfIoVec(pi.app->vm().pm(), data, n);
-  verdict.verified_ok = computed == static_cast<std::uint16_t>(header);
-  // Integration with the final copy is only possible on copy-out dispose
-  // paths (copy semantics, or emulated copy without alignment); swap and
-  // in-place paths always use a separate read pass (paper Section 9: with a
-  // system buffer involved, passing by VM manipulation and then reading the
-  // data costs less than a one-step checksum-and-copy).
-  const bool copies_out =
-      pi.sem == Semantics::kCopy ||
-      (pi.sem == Semantics::kEmulatedCopy && pi.has_sysbuf &&
-       pi.sysbuf.page_offset != pi.va % pi.app->vm().page_size());
-  verdict.integrated = options_.checksum_mode == ChecksumMode::kIntegrated && copies_out;
+  std::uint16_t computed = 0;
+  bool integrable = false;
+  if (pi.mode == InputBuffering::kOutboard) {
+    // The frame is still in adapter memory; the host DMA that moves it out
+    // can carry the checksum whatever the semantics.
+    computed = ChecksumOf(node_->adapter()
+                              .OutboardData(frame.outboard_handle)
+                              .subspan(0, static_cast<std::size_t>(n)));
+    integrable = true;
+  } else {
+    const IoVec& landed = pi.mode == InputBuffering::kPooled ? overlay.iov : pi.target;
+    computed = ChecksumOfIoVec(pi.app->vm().pm(), landed, n);
+    // Integration with the final copy is only possible on copy-out dispose
+    // paths (copy semantics, or emulated copy without alignment); swap and
+    // in-place paths always use a separate read pass (paper Section 9: with
+    // a system buffer involved, passing by VM manipulation and then reading
+    // the data costs less than a one-step checksum-and-copy).
+    integrable = pi.sem == Semantics::kCopy ||
+                 (pi.sem == Semantics::kEmulatedCopy && pi.has_sysbuf &&
+                  pi.sysbuf.page_offset != pi.va % pi.app->vm().page_size());
+  }
+  verdict.verified_ok = computed == static_cast<std::uint16_t>(frame.header);
+  verdict.integrated = options_.checksum_mode == ChecksumMode::kIntegrated && integrable;
   ch.Add(verdict.integrated ? OpKind::kChecksumIntegrated : OpKind::kChecksumRead, n);
   return verdict;
 }
 
-// --- Dispose drivers ---
+// --- Input dispose, every buffering architecture ---
 
-Task<void> Endpoint::RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi,
-                                          RxCompletion completion) {
-  pi->flow = completion.flow;
-  co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
-  co_await Charge(OpKind::kReceiverKernelFixed, 0);
-  Charges charges;
-  pi->result.crc_ok = completion.crc_ok;
-  const std::uint64_t n = std::min<std::uint64_t>(completion.bytes, pi->len);
-  {
-    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
-    if (!completion.crc_ok) {
-      CleanupFailedInput(*pi, charges);
-    } else {
-      const ChecksumVerdict verdict =
-          VerifyChecksum(*pi, pi->target, n, completion.header, charges);
-      pi->result.checksum_ok = verdict.verified_ok;
-      if (!verdict.verified_ok && !verdict.integrated) {
-        // Separate-pass verification failed before any data reached the
-        // application buffer: fail the input, strong semantics intact.
-        CleanupFailedInput(*pi, charges);
-      } else {
-        DisposeInputTable3(*pi, n, charges);
-        if (!verdict.verified_ok) {
-          // Integrated verification detects the error only after the copy:
-          // the application buffer was overwritten (weak behavior, the
-          // Section 9 semantic implication).
-          pi->result.ok = false;
-        }
-      }
-    }
-  }
-  for (const auto& [op, bytes] : charges) {
-    co_await Charge(op, bytes);
-  }
-  dispose_span.End();
-  node_->cpu().Release();
-  CompleteInput(*pi);
-}
-
-Task<void> Endpoint::RunDisposePooled(std::shared_ptr<PendingInput> pi, RxCompletion frame) {
-  pi->flow = frame.flow;
-  co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
-  co_await Charge(OpKind::kReceiverKernelFixed, 0);
-  // Ready-time operations (Table 4): overlay allocation happened at arrival
-  // in the device; the kernel-side costs land here, on the critical path.
-  co_await Charge(OpKind::kOverlayAllocate, 0);
-  co_await Charge(OpKind::kOverlay, 0);
-  Charges charges;
-  pi->result.crc_ok = frame.crc_ok;
-  const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
-  // Wrap the overlay pages as an offset-0 source buffer.
+SysBuffer Endpoint::OverlayBuffer(std::vector<FrameId> pages, std::uint64_t bytes) const {
   SysBuffer overlay;
-  overlay.frames = std::move(frame.overlay_pages);
-  overlay.length = frame.bytes;
-  std::uint64_t remaining = frame.bytes;
+  overlay.frames = std::move(pages);
+  overlay.length = bytes;
+  std::uint64_t remaining = bytes;
   for (const FrameId f : overlay.frames) {
     const std::uint32_t seg = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(node_->vm().page_size(), remaining));
     overlay.iov.segments.push_back(IoSegment{f, 0, seg});
     remaining -= seg;
   }
-  bool failed = !frame.crc_ok;
-  bool integrated_mismatch = false;
-  {
-    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
-    if (!failed) {
-      const ChecksumVerdict verdict =
-          VerifyChecksum(*pi, overlay.iov, n, frame.header, charges);
-      pi->result.checksum_ok = verdict.verified_ok;
-      if (!verdict.verified_ok && !verdict.integrated) {
-        failed = true;
-      } else if (!verdict.verified_ok) {
-        integrated_mismatch = true;
+  return overlay;
+}
+
+bool Endpoint::ReferenceOutboardTarget(PendingInput& pi, std::uint64_t n) {
+  // Referencing may fault the application buffer in (page-in/zero-fill).
+  ScopedTraceContext trace_ctx(node_->trace(), pi.xfer);
+  if (ReferenceRange(*pi.app, pi.va, n, IoDirection::kInput, &pi.ref) == AccessResult::kOk) {
+    return true;
+  }
+  // The application buffer could not be pinned (page-in or allocation
+  // failed): the staged data never leaves adapter memory.
+  FailInput(pi, IoStatus::kIoError);
+  return false;
+}
+
+void Endpoint::DmaOutboardFrame(PendingInput& pi, const RxCompletion& frame, std::uint64_t n) {
+  const IoVec& target = pi.sem == Semantics::kEmulatedCopy ? pi.ref.iovec : pi.target;
+  WriteToIoVec(pi.app->vm().pm(), target, 0,
+               node_->adapter().OutboardData(frame.outboard_handle)
+                   .subspan(0, static_cast<std::size_t>(n)));
+}
+
+Task<void> Endpoint::RunDispose(std::shared_ptr<PendingInput> pi, RxCompletion frame) {
+  const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
+  pi->flow = frame.flow;
+  co_await node_->cpu().Acquire();
+  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
+  co_await Charge(OpKind::kReceiverKernelFixed, 0);
+  pi->result.crc_ok = frame.crc_ok;
+  SysBuffer overlay;
+  if (pi->mode == InputBuffering::kPooled) {
+    // Ready-time operations (Table 4): overlay allocation happened at
+    // arrival in the device; the kernel-side costs land here, on the
+    // critical path. The overlay pages become an offset-0 source buffer.
+    co_await Charge(OpKind::kOverlayAllocate, 0);
+    co_await Charge(OpKind::kOverlay, 0);
+    overlay = OverlayBuffer(std::move(frame.overlay_pages), frame.bytes);
+  }
+  Charges charges;
+  ChecksumVerdict verdict;
+  if (frame.crc_ok) {
+    verdict = VerifyChecksum(*pi, frame, overlay, n, charges);
+    pi->result.checksum_ok = verdict.verified_ok;
+  }
+  // A separate-pass mismatch fails the input like a CRC error, before any
+  // data reaches the application buffer (strong semantics intact). An
+  // integrated mismatch surfaces only after the data got there: the dispose
+  // runs and the input is not ok (weak behavior, the Section 9 implication).
+  const bool failed = !frame.crc_ok || (!verdict.verified_ok && !verdict.integrated);
+  bool disposes = !failed;
+  if (pi->mode == InputBuffering::kOutboard) {
+    // The frame is still in adapter memory, where the checksum pass ran:
+    // charge it before the unwind or the DMA. (Early demux and pooled verify
+    // and dispose at one instant and charge both afterwards.)
+    for (const auto& [op, bytes] : charges) {
+      co_await Charge(op, bytes);
+    }
+    charges = Charges{};
+    if (disposes && pi->sem == Semantics::kEmulatedCopy) {
+      // Section 6.2.3: the DMA target is the application buffer itself.
+      disposes = ReferenceOutboardTarget(*pi, n);
+      if (disposes) {
+        co_await Charge(OpKind::kReference, n);
       }
     }
+    if (disposes) {
+      node_->cpu().Release();
+      co_await Delay(node_->engine(), node_->Cost(OpKind::kBusTransfer, n));
+      DmaOutboardFrame(*pi, frame, n);
+      co_await node_->cpu().Acquire();
+    }
+  }
+  {
+    ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
     if (failed) {
-      BufferPool& pool = *node_->adapter().pool();
-      for (const FrameId f : overlay.frames) {
-        pool.Free(f);
+      for (const FrameId f : overlay.frames) {  // Pooled only: back to the pool.
+        node_->adapter().pool()->Free(f);
       }
-      CleanupFailedInput(*pi, charges);
-    } else {
-      DisposeInputTable4(*pi, overlay, n, charges);
-      if (integrated_mismatch) {
-        pi->result.ok = false;
+      ++stats_.crc_failures;
+      UnwindInputResources(*pi, charges);
+      FailInput(*pi, IoStatus::kIoError);
+    } else if (disposes) {
+      const bool usable = pi->mode == InputBuffering::kPooled
+                              ? DisposeInputTable4(*pi, overlay, n, charges)
+                              : DisposeInputTable3(*pi, n, charges);
+      pi->result.ok = usable && verdict.verified_ok;
+      pi->result.bytes = n;
+      if (!usable) {
+        FailInput(*pi, IoStatus::kIoError);
       }
     }
   }
   for (const auto& [op, bytes] : charges) {
     co_await Charge(op, bytes);
   }
-  dispose_span.End();
-  node_->cpu().Release();
-  CompleteInput(*pi);
-}
-
-Task<void> Endpoint::RunDisposeOutboard(std::shared_ptr<PendingInput> pi, RxCompletion frame) {
-  Adapter& adapter = node_->adapter();
-  const std::uint64_t n = std::min<std::uint64_t>(frame.bytes, pi->len);
-  const std::uint32_t handle = frame.outboard_handle;
-  pi->flow = frame.flow;
-  co_await node_->cpu().Acquire();
-  TraceScope dispose_span(node_->trace(), xfer_track_, pi->xfer, ".dispose", pi->flow);
-  co_await Charge(OpKind::kReceiverKernelFixed, 0);
-  pi->result.crc_ok = frame.crc_ok;
-
-  // Transport checksum: with outboard staging a separate pass can verify in
-  // adapter memory before any host DMA (strong); integrated-with-DMA
-  // verification detects the error only after the data reached its final
-  // host location.
-  bool checksum_failed_early = false;
-  bool integrated_mismatch = false;
-  if (frame.crc_ok && options_.checksum_mode != ChecksumMode::kNone && n > 0) {
-    const std::uint16_t computed =
-        ChecksumOf(adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
-    const bool ok = computed == static_cast<std::uint16_t>(frame.header);
-    pi->result.checksum_ok = ok;
-    co_await Charge(options_.checksum_mode == ChecksumMode::kIntegrated
-                        ? OpKind::kChecksumIntegrated
-                        : OpKind::kChecksumRead,
-                    n);
-    if (!ok) {
-      if (options_.checksum_mode == ChecksumMode::kSeparatePass) {
-        checksum_failed_early = true;
-      } else {
-        integrated_mismatch = true;
-      }
-    }
-  }
-
-  if (!frame.crc_ok || checksum_failed_early) {
-    Charges charges;
-    {
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
-      CleanupFailedInput(*pi, charges);
-    }
-    for (const auto& [op, bytes] : charges) {
-      co_await Charge(op, bytes);
-    }
-    adapter.FreeOutboard(handle);
-    dispose_span.End();
-    node_->cpu().Release();
-    CompleteInput(*pi);
-    co_return;
-  }
-
-  if (pi->sem == Semantics::kEmulatedCopy) {
-    // Section 6.2.3: reference the application pages, DMA the outboard data
-    // directly into the application buffer, unreference, free the outboard
-    // buffer. No aligned buffer, no swap: close to emulated share.
-    AccessResult res;
-    {
-      // Referencing may fault the application buffer in (page-in/zero-fill).
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
-      res = ReferenceRange(*pi->app, pi->va, n, IoDirection::kInput, &pi->ref);
-    }
-    if (res != AccessResult::kOk) {
-      // The application buffer could not be pinned (page-in or allocation
-      // failed): fail the input; the staged data never left adapter memory.
-      adapter.FreeOutboard(handle);
-      pi->result.ok = false;
-      pi->result.status = IoStatus::kIoError;
-      ++stats_.failed_inputs;
-      ++stats_.recovered_transfers;
-      dispose_span.End();
-      node_->cpu().Release();
-      CompleteInput(*pi);
-      co_return;
-    }
-    co_await Charge(OpKind::kReference, n);
-    node_->cpu().Release();
-    co_await Delay(node_->engine(), node_->Cost(OpKind::kBusTransfer, n));
-    WriteToIoVec(pi->app->vm().pm(), pi->ref.iovec, 0,
-                 adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
-    co_await node_->cpu().Acquire();
-    Unreference(pi->app->vm(), pi->ref);
-    co_await Charge(OpKind::kUnreference, n);
-    adapter.FreeOutboard(handle);
-    pi->result.ok = true;
-    pi->result.bytes = n;
-    pi->result.addr = pi->va;
-  } else {
-    // DMA the staged frame into the prepared host target, then run the
-    // Table 3 dispose operations.
-    node_->cpu().Release();
-    co_await Delay(node_->engine(), node_->Cost(OpKind::kBusTransfer, n));
-    WriteToIoVec(pi->app->vm().pm(), pi->target, 0,
-                 adapter.OutboardData(handle).subspan(0, static_cast<std::size_t>(n)));
-    co_await node_->cpu().Acquire();
-    Charges charges;
-    {
-      ScopedTraceContext trace_ctx(node_->trace(), pi->xfer);
-      DisposeInputTable3(*pi, n, charges);
-    }
-    for (const auto& [op, bytes] : charges) {
-      co_await Charge(op, bytes);
-    }
-    adapter.FreeOutboard(handle);
-  }
-  if (integrated_mismatch) {
-    // Integrated verification: the host buffer was already written when the
-    // mismatch surfaced (weak behavior, Section 9).
-    pi->result.ok = false;
+  if (pi->mode == InputBuffering::kOutboard) {
+    node_->adapter().FreeOutboard(frame.outboard_handle);
   }
   dispose_span.End();
   node_->cpu().Release();

@@ -309,25 +309,27 @@ class Endpoint {
     // The transfer watchdog's id for this input (0 = not watched).
     std::uint64_t watch_id = 0;
     // A dispose coroutine has claimed this input: the frame landed and data
-    // movement is running. A node crash lets such inputs finish (the frames
-    // are already local) instead of unwinding under a running dispose.
+    // movement is running. A node crash lets such inputs finish (the device
+    // has handed their frames over) instead of unwinding under a running
+    // dispose.
     bool dispose_started = false;
   };
 
   Task<InputResult> InputCommon(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem,
                                 bool system_allocated);
 
-  // Transport checksum verification (Section 9 extension). Returns the ops
-  // to charge and whether dispose should proceed; on a mismatch with a
-  // separate-pass verify, the input is failed before any data reaches the
-  // application buffer (strong); integrated verification is only detected
-  // after the copy (weak for copy-out paths).
+  // Transport checksum verification (Section 9 extension) over the first
+  // `n` bytes of `frame`, read where the device left them: the posted
+  // buffer, the `overlay` pages or adapter memory. Records the pass to
+  // charge. A separate-pass mismatch fails the input before any data
+  // reaches the application buffer (strong); an integrated one is only
+  // detected once the data is there (weak).
   struct ChecksumVerdict {
     bool verified_ok = true;
     bool integrated = false;
   };
-  ChecksumVerdict VerifyChecksum(PendingInput& pi, const IoVec& data, std::uint64_t n,
-                                 std::uint32_t header, Charges& ch);
+  ChecksumVerdict VerifyChecksum(PendingInput& pi, const RxCompletion& frame,
+                                 const SysBuffer& overlay, std::uint64_t n, Charges& ch);
 
   // Functional halves (bookkeeping + data movement), recording the costs to
   // charge; the coroutines charge them while holding the CPU.
@@ -344,14 +346,22 @@ class Endpoint {
   IoStatus PrepareInputWithFallback(PendingInput& pi, Charges& ch);
   void RecordSemanticsFallback(const std::string& xfer, std::string_view from,
                                std::string_view to);
-  // Table 3 dispose (early demultiplexed and outboard DMA targets).
-  void DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch);
-  // Table 4 dispose (pooled overlay buffers, wrapped as an offset-0 source).
-  void DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n, Charges& ch);
-  void CleanupFailedInput(PendingInput& pi, Charges& ch);
+  // Table 3 dispose (early demultiplexed and outboard DMA targets, and the
+  // Section 6.2.3 outboard emulated copy) and Table 4 dispose (pooled
+  // overlay buffers, wrapped as an offset-0 source). Each returns whether
+  // the application buffer stayed usable.
+  bool DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch);
+  bool DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uint64_t n, Charges& ch);
+  // Basic move's dispose: a new moved-in region holding the first `n`
+  // bytes' pages of `src` (donated, their slots invalidated) with the tail
+  // of the last page zeroed, mapped. `fill_op` is the fill's charge.
+  Vaddr MoveIntoNewRegion(AddressSpace& app, SysBuffer& src, std::uint64_t n, OpKind fill_op,
+                          Charges& ch);
   // Shared unwind core (free sysbuf, unwire, unreference, restore hidden
-  // regions) used by the CRC cleanup path and AbortWaitingInput.
+  // regions) used by the failed dispose and AbortWaitingInput.
   void UnwindInputResources(PendingInput& pi, Charges& ch);
+  // Marks the input failed with `status` and counts it as recovered.
+  void FailInput(PendingInput& pi, IoStatus status);
   // Watchdog callback for a stuck input: kCompleted if it finished on its
   // own, kBusy if a frame is mid-delivery, else revokes the posting,
   // unwinds, fails the input with IoStatus::kCancelled.
@@ -374,9 +384,22 @@ class Endpoint {
   void PushCompletion(Completion completion);
 
   Task<void> TransmitAndDispose(std::shared_ptr<OutputState> st);
-  Task<void> RunDisposeEarlyDemux(std::shared_ptr<PendingInput> pi, RxCompletion completion);
-  Task<void> RunDisposePooled(std::shared_ptr<PendingInput> pi, RxCompletion frame);
-  Task<void> RunDisposeOutboard(std::shared_ptr<PendingInput> pi, RxCompletion frame);
+  // The input dispose for every buffering architecture: verify, then the
+  // Table 3 or Table 4 dispose, or the failure unwind. Pooled frames first
+  // pay Table 4's ready-time ops; outboard frames are checksummed in
+  // adapter memory and DMAed to the host before the dispose, and freed
+  // after it.
+  Task<void> RunDispose(std::shared_ptr<PendingInput> pi, RxCompletion frame);
+  // RunDispose's steps that never suspend, kept out of its coroutine frame
+  // (every input allocates one). Wraps pooled overlay pages holding `bytes`
+  // as an offset-0 source buffer.
+  SysBuffer OverlayBuffer(std::vector<FrameId> pages, std::uint64_t bytes) const;
+  // Section 6.2.3: references the application buffer as the outboard DMA
+  // target of an emulated copy; on failure fails the input.
+  bool ReferenceOutboardTarget(PendingInput& pi, std::uint64_t n);
+  // Moves the first `n` bytes of the staged outboard frame into the DMA
+  // target (the bus transfer's data movement; the caller charges it).
+  void DmaOutboardFrame(PendingInput& pi, const RxCompletion& frame, std::uint64_t n);
 
   struct NamedBuffer {
     explicit NamedBuffer(Engine& engine) : ready(engine) {}

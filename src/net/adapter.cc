@@ -977,13 +977,13 @@ void Adapter::Crash(std::uint32_t new_epoch) {
     rx_.reset();
     rx_discarded_inflight_ = true;
   }
-  // Host-visible device tables: posted and named buffer lists, staged
-  // outboard frames, reorder holds, dedup windows, armed SACK flushes, and
-  // the cell-staleness floors — all RAM-resident device state.
+  // Host-visible device tables: posted and named buffer lists, reorder
+  // holds, dedup windows, armed SACK flushes, and the cell-staleness floors
+  // — all RAM-resident device state. Staged outboard frames stay: each was
+  // handed to a posted input whose dispose has started, and that dispose
+  // runs to completion and frees it (as handed-over overlay pages do).
   posted_.clear();
   named_.clear();
-  outboard_.clear();
-  outboard_bytes_held_ = 0;
   held_.clear();
   rx_dedup_.clear();
   sack_flush_pending_.clear();

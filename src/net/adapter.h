@@ -260,10 +260,12 @@ class Adapter {
 
   // Crash-stop: raises the crashed flag, installs the bumped epoch, and
   // discards every piece of in-flight device state — the frame mid-
-  // reception, posted and named receive buffers, outboard staging RAM,
-  // held (reordered) frames, dedup windows, armed SACK flushes, transmit
-  // credits, and blocked credit waiters (resumed with ctl->aborted set).
-  // While crashed, arriving frames and control cells are dropped silently.
+  // reception, posted and named receive buffers, held (reordered) frames,
+  // dedup windows, armed SACK flushes, transmit credits, and blocked credit
+  // waiters (resumed with ctl->aborted set). Frames already handed to a
+  // posting (overlay pages, staged outboard frames) belong to its running
+  // dispose, which finishes and frees them. While crashed, arriving frames
+  // and control cells are dropped silently.
   void Crash(std::uint32_t new_epoch);
   // Clears the crashed flag; receive resumes with empty device state.
   void Restart();
@@ -508,7 +510,9 @@ class Adapter {
   std::map<std::pair<std::uint64_t, std::uint32_t>, PostedReceive> named_;
   std::unique_ptr<BufferPool> pool_;
   std::map<std::uint32_t, std::vector<std::byte>> outboard_;
-  std::size_t outboard_bytes_held_ = 0;  // stored frames + in-progress rx
+  // Bytes of the staged frames in outboard_ (handed to the host, not yet
+  // freed). DeliverChunk adds the frame in progress when it checks capacity.
+  std::size_t outboard_bytes_held_ = 0;
   std::uint32_t next_outboard_handle_ = 1;
 
   std::optional<RxState> rx_;  // in-progress frame (one at a time per link)

@@ -60,71 +60,91 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(ChecksumSemanticsTest, SeparatePassKeepsCopySemanticsStrong) {
-  // Bad checksum, separate pass, copy semantics: the application buffer must
-  // be untouched (verification happens before the copyout).
-  ChecksumRig rig(ChecksumMode::kSeparatePass);
-  const auto canvas = TestPattern(kLen, 0x77);
-  ASSERT_EQ(rig.rx_app.Write(kDst, canvas), AccessResult::kOk);
-  ASSERT_EQ(rig.tx_app.Write(kSrc, TestPattern(kLen, 5)), AccessResult::kOk);
+// A corrupted checksum in each input-buffering architecture. Early demux
+// and pooled verify the bytes in host memory at the dispose; outboard
+// verifies them in adapter memory before the DMA to the host, and with an
+// integrated checksum that DMA is the pass that carries it.
+class ChecksumSemanticsTest : public ::testing::TestWithParam<InputBuffering> {
+ protected:
+  // Transfers a payload whose checksum is corrupted in flight onto the
+  // canvas at kDst, and returns what the receiver reports. The receiver
+  // must end with its device buffers and free frames as they were.
+  InputResult CorruptedTransfer(ChecksumRig& rig, Semantics sem) {
+    EXPECT_EQ(rig.rx_app.Write(kDst, canvas_), AccessResult::kOk);
+    EXPECT_EQ(rig.tx_app.Write(kSrc, payload_), AccessResult::kOk);
+    const std::size_t free_frames = rig.receiver.vm().pm().free_frames();
+    rig.tx_ep.CorruptNextChecksum();
+    const InputResult r = rig.Transfer(kSrc, kDst, kLen, sem);
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.checksum_ok);
+    EXPECT_TRUE(r.crc_ok);  // The link itself was fine.
+    ExpectDeviceBuffersFree(rig.receiver.adapter());
+    EXPECT_EQ(rig.receiver.vm().pm().free_frames(), free_frames);
+    rig.ExpectQuiescent();
+    return r;
+  }
 
-  rig.tx_ep.CorruptNextChecksum();
-  const InputResult r = rig.Transfer(kSrc, kDst, kLen, Semantics::kCopy);
-  EXPECT_FALSE(r.ok);
-  EXPECT_FALSE(r.checksum_ok);
-  EXPECT_TRUE(r.crc_ok);  // The link itself was fine.
-  const auto got = rig.ReadBack(kDst, kLen);
-  EXPECT_EQ(std::memcmp(got.data(), canvas.data(), kLen), 0);  // Untouched.
-  rig.ExpectQuiescent();
+  bool BufferIs(ChecksumRig& rig, const std::vector<std::byte>& expected) {
+    return rig.ReadBack(kDst, kLen) == expected;
+  }
+
+  const std::vector<std::byte> canvas_ = TestPattern(kLen, 0x77);
+  const std::vector<std::byte> payload_ = TestPattern(kLen, 5);
+};
+
+TEST_P(ChecksumSemanticsTest, SeparatePassKeepsCopySemanticsStrong) {
+  // Bad checksum, separate pass, copy semantics: the application buffer must
+  // be untouched (verification happens before the copyout or the DMA).
+  ChecksumRig rig(ChecksumMode::kSeparatePass, GetParam());
+  const InputResult r = CorruptedTransfer(rig, Semantics::kCopy);
+  EXPECT_EQ(r.status, IoStatus::kIoError);
+  EXPECT_TRUE(BufferIs(rig, canvas_));
 }
 
-TEST(ChecksumSemanticsTest, IntegratedChecksumDegradesCopyToWeak) {
+TEST_P(ChecksumSemanticsTest, IntegratedChecksumDegradesCopyToWeak) {
   // The paper's Section 9 point: if checksumming is integrated with the copy
   // into the application buffer and the checksum is wrong, the buffer is
-  // overwritten with faulty data — actually weak, not copy, semantics.
-  ChecksumRig rig(ChecksumMode::kIntegrated);
-  const auto canvas = TestPattern(kLen, 0x77);
-  ASSERT_EQ(rig.rx_app.Write(kDst, canvas), AccessResult::kOk);
-  const auto payload = TestPattern(kLen, 5);
-  ASSERT_EQ(rig.tx_app.Write(kSrc, payload), AccessResult::kOk);
-
-  rig.tx_ep.CorruptNextChecksum();
-  const InputResult r = rig.Transfer(kSrc, kDst, kLen, Semantics::kCopy);
-  EXPECT_FALSE(r.ok);
-  EXPECT_FALSE(r.checksum_ok);
-  // The buffer WAS overwritten before the mismatch was detected.
-  const auto got = rig.ReadBack(kDst, kLen);
-  EXPECT_EQ(std::memcmp(got.data(), payload.data(), kLen), 0);
-  rig.ExpectQuiescent();
+  // overwritten with faulty data — actually weak, not copy, semantics. The
+  // transfer itself completed, so the status stays kOk.
+  ChecksumRig rig(ChecksumMode::kIntegrated, GetParam());
+  const InputResult r = CorruptedTransfer(rig, Semantics::kCopy);
+  EXPECT_EQ(r.status, IoStatus::kOk);
+  EXPECT_TRUE(BufferIs(rig, payload_));  // Overwritten before detection.
 }
 
-TEST(ChecksumSemanticsTest, SwapPathsAlwaysVerifySeparately) {
+TEST_P(ChecksumSemanticsTest, SwapPathsAlwaysVerifySeparately) {
   // Emulated copy with aligned buffers swaps pages; integration is
   // impossible there, so even kIntegrated falls back to a separate pass and
-  // the application buffer is protected.
-  ChecksumRig rig(ChecksumMode::kIntegrated);
-  const auto canvas = TestPattern(kLen, 0x77);
-  ASSERT_EQ(rig.rx_app.Write(kDst, canvas), AccessResult::kOk);
-  ASSERT_EQ(rig.tx_app.Write(kSrc, TestPattern(kLen, 5)), AccessResult::kOk);
-
-  rig.tx_ep.CorruptNextChecksum();
-  const InputResult r = rig.Transfer(kSrc, kDst, kLen, Semantics::kEmulatedCopy);
-  EXPECT_FALSE(r.ok);
-  EXPECT_FALSE(r.checksum_ok);
-  const auto got = rig.ReadBack(kDst, kLen);
-  EXPECT_EQ(std::memcmp(got.data(), canvas.data(), kLen), 0);  // Untouched.
+  // the application buffer is protected. Outboard emulated copy has no swap
+  // (Section 6.2.3): it DMAs straight into the application buffer, and that
+  // DMA carries the integrated checksum, so the buffer is overwritten.
+  ChecksumRig rig(ChecksumMode::kIntegrated, GetParam());
+  const InputResult r = CorruptedTransfer(rig, Semantics::kEmulatedCopy);
+  if (GetParam() == InputBuffering::kOutboard) {
+    EXPECT_EQ(r.status, IoStatus::kOk);
+    EXPECT_TRUE(BufferIs(rig, payload_));
+  } else {
+    EXPECT_EQ(r.status, IoStatus::kIoError);
+    EXPECT_TRUE(BufferIs(rig, canvas_));
+  }
 }
 
-TEST(ChecksumSemanticsTest, ChannelRecoversAfterChecksumFailure) {
-  ChecksumRig rig(ChecksumMode::kSeparatePass);
-  ASSERT_EQ(rig.tx_app.Write(kSrc, TestPattern(kLen, 5)), AccessResult::kOk);
-  rig.tx_ep.CorruptNextChecksum();
-  EXPECT_FALSE(rig.Transfer(kSrc, kDst, kLen, Semantics::kEmulatedCopy).ok);
+TEST_P(ChecksumSemanticsTest, ChannelRecoversAfterChecksumFailure) {
+  ChecksumRig rig(ChecksumMode::kSeparatePass, GetParam());
+  CorruptedTransfer(rig, Semantics::kEmulatedCopy);
   const InputResult retry = rig.Transfer(kSrc, kDst, kLen, Semantics::kEmulatedCopy);
   EXPECT_TRUE(retry.ok);
   EXPECT_TRUE(retry.checksum_ok);
+  EXPECT_TRUE(BufferIs(rig, payload_));
   rig.ExpectQuiescent();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllModes, ChecksumSemanticsTest,
+                         ::testing::Values(InputBuffering::kEarlyDemux, InputBuffering::kPooled,
+                                           InputBuffering::kOutboard),
+                         [](const ::testing::TestParamInfo<InputBuffering>& param_info) {
+                           return BufferingTestName(param_info.param);
+                         });
 
 TEST(ChecksumCostTest, VmPassPlusReadBeatsChecksumAndCopy) {
   // The reference [4] claim as measured end-to-end: for long data, emulated

@@ -21,14 +21,6 @@ Task<void> AwaitInput(Endpoint& ep, AddressSpace& app, InputResult* out) {
   *out = co_await ep.Input(app, kDst, kLen, Semantics::kCopy);
 }
 
-// Every overlay page back in the pool, no frame held in outboard memory.
-void ExpectDeviceBuffersFree(Adapter& adapter) {
-  if (BufferPool* pool = adapter.pool(); pool != nullptr) {
-    EXPECT_EQ(pool->available(), pool->capacity());
-  }
-  EXPECT_EQ(adapter.outboard_frames_held(), 0u);
-}
-
 class PostedInputTest : public ::testing::TestWithParam<InputBuffering> {};
 
 // A receive endpoint destroyed with its input still posted takes the posting
@@ -119,6 +111,35 @@ TEST_P(PostedInputTest, CrashFailsPostedInputAndRestartDelivers) {
   rig.ExpectQuiescent();
 }
 
+// A crash that lands once an input's dispose has started lets that dispose
+// finish: the device handed the frame over before the crash (into the posted
+// buffer, overlay pages or outboard staging), so nothing is left to unwind,
+// and the dispose gives the frame's device buffers back as usual.
+TEST_P(PostedInputTest, CrashDuringDisposeLetsItFinish) {
+  Rig rig(GetParam());
+  rig.tx_app.CreateRegion(kSrc, 4 * 4096);
+  rig.rx_app.CreateRegion(kDst, 4 * 4096);
+  const auto payload = TestPattern(kLen, 7);
+  ASSERT_EQ(rig.tx_app.Write(kSrc, payload), AccessResult::kOk);
+  bool crashed = false;
+  rig.rx_ep.set_op_probe([&](OpKind op, std::uint64_t, SimTime) {
+    if (op == OpKind::kReceiverKernelFixed && !crashed) {
+      crashed = true;  // The dispose's first charge.
+      rig.engine.ScheduleAfter(0, [&] { rig.receiver.Crash(); });
+      rig.engine.ScheduleAfter(1 * kMillisecond, [&] { rig.receiver.Restart(); });
+    }
+  });
+
+  const InputResult r = rig.Transfer(kSrc, kDst, kLen, Semantics::kCopy);
+  ASSERT_TRUE(crashed);
+  EXPECT_EQ(rig.receiver.crashes(), 1u);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, IoStatus::kOk);
+  EXPECT_EQ(rig.ReadBack(r.addr, kLen), payload);
+  ExpectDeviceBuffersFree(rig.receiver.adapter());
+  rig.ExpectQuiescent();
+}
+
 TEST_P(PostedInputTest, WatchdogCancelsStuckInputAndRevokesPosting) {
   Rig rig(GetParam());
   rig.rx_app.CreateRegion(kDst, 4 * 4096);
@@ -142,15 +163,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, PostedInputTest,
                          ::testing::Values(InputBuffering::kEarlyDemux, InputBuffering::kPooled,
                                            InputBuffering::kOutboard),
                          [](const ::testing::TestParamInfo<InputBuffering>& param_info) {
-                           switch (param_info.param) {
-                             case InputBuffering::kEarlyDemux:
-                               return "EarlyDemux";
-                             case InputBuffering::kPooled:
-                               return "Pooled";
-                             case InputBuffering::kOutboard:
-                               return "Outboard";
-                           }
-                           return "Unknown";
+                           return BufferingTestName(param_info.param);
                          });
 
 }  // namespace

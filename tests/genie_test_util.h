@@ -6,7 +6,10 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "src/genie/endpoint.h"
 #include "src/genie/node.h"
@@ -20,6 +23,27 @@ inline std::vector<std::byte> TestPattern(std::size_t n, unsigned char seed = 1)
     v[i] = static_cast<std::byte>((seed * 131 + i * 7) & 0xFF);
   }
   return v;
+}
+
+// "EarlyDemux", "Pooled" or "Outboard": a gtest parameter name.
+inline std::string BufferingTestName(InputBuffering buffering) {
+  switch (buffering) {
+    case InputBuffering::kEarlyDemux:
+      return "EarlyDemux";
+    case InputBuffering::kPooled:
+      return "Pooled";
+    case InputBuffering::kOutboard:
+      return "Outboard";
+  }
+  return "Unknown";
+}
+
+// Every overlay page back in the pool, no frame held in outboard memory.
+inline void ExpectDeviceBuffersFree(Adapter& adapter) {
+  if (BufferPool* pool = adapter.pool(); pool != nullptr) {
+    EXPECT_EQ(pool->available(), pool->capacity());
+  }
+  EXPECT_EQ(adapter.outboard_frames_held(), 0u);
 }
 
 struct Rig {
