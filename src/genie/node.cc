@@ -31,8 +31,7 @@ Node::Node(Engine& engine, std::string name, Config config)
       pageout_(vm_) {
   vm_.set_low_memory_reclaimer([this](std::size_t want) { pageout_.EvictUntilFree(want); });
   if (config.model_driver_work) {
-    adapter_.SetDriverWork(&cpu_, &cpu_,
-                           cost_.Line(OpKind::kDriverPerByte).slope_us_per_byte);
+    adapter_.SetDriverWork(&cpu_, cost_.Line(OpKind::kDriverPerByte).slope_us_per_byte);
   }
   reliable_->set_metrics(&metrics_);
   RegisterComponentGauges();
@@ -259,7 +258,8 @@ AddressSpace& Node::CreateProcess(const std::string& proc_name) {
 }
 
 Network::Network(Engine& engine, Node& a, Node& b)
-    : link_ab_(engine, a.name() + "->" + b.name()), link_ba_(engine, b.name() + "->" + a.name()) {
+    : link_ab_(engine, a.name() + "->" + b.name(), kMaxAal5Payload),
+      link_ba_(engine, b.name() + "->" + a.name(), kMaxAal5Payload) {
   a.adapter().ConnectTo(&b.adapter(), &link_ab_);
   b.adapter().ConnectTo(&a.adapter(), &link_ba_);
 }

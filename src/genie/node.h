@@ -13,6 +13,7 @@
 #include "src/cost/cost_model.h"
 #include "src/genie/reliable.h"
 #include "src/net/adapter.h"
+#include "src/net/switch_link.h"
 #include "src/obs/metrics.h"
 #include "src/sim/engine.h"
 #include "src/sim/trace.h"
@@ -197,14 +198,15 @@ class Node {
   std::function<void(std::uint32_t)> restart_observer_;
 };
 
-// Connects two nodes with one ATM virtual circuit in each direction.
+// Connects two nodes with one ATM virtual circuit in each direction: a
+// one-hop path whose channels take turns by DRR, one AAL5 frame a quantum.
 class Network {
  public:
   Network(Engine& engine, Node& a, Node& b);
 
  private:
-  Resource link_ab_;
-  Resource link_ba_;
+  SwitchLink link_ab_;
+  SwitchLink link_ba_;
 };
 
 }  // namespace genie

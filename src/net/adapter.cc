@@ -32,18 +32,16 @@ Adapter::Adapter(Engine& engine, PhysicalMemory& pm, const CostModel& cost, std:
   }
 }
 
-void Adapter::ConnectTo(Adapter* peer, Resource* link) {
+void Adapter::ConnectTo(Adapter* peer, SwitchLink* link) {
   GENIE_CHECK(peer != nullptr && link != nullptr);
-  GENIE_CHECK(!fabric_connected()) << "adapter " << name_ << " already on a fabric";
-  peer_ = peer;
-  tx_link_ = link;
+  wire_ = TxPath{peer, {link}, 1};
+  ConnectFabric([this](std::uint64_t) { return &wire_; });
 }
 
-void Adapter::ConnectFabric(RouteFn route, ControlPeerFn control_peer) {
-  GENIE_CHECK(route != nullptr && control_peer != nullptr);
-  GENIE_CHECK(peer_ == nullptr) << "adapter " << name_ << " already wired point-to-point";
+void Adapter::ConnectFabric(RouteFn route) {
+  GENIE_CHECK(route != nullptr);
+  GENIE_CHECK(route_fn_ == nullptr) << "adapter " << name_ << " already connected";
   route_fn_ = std::move(route);
-  control_peer_fn_ = std::move(control_peer);
 }
 
 Task<bool> Adapter::AcquirePath(const TxPath& path, std::uint64_t channel,
@@ -94,11 +92,9 @@ bool Adapter::PathDown(const TxPath& path) {
 Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_t header,
                                   std::uint32_t tag, std::shared_ptr<TxControl> ctl,
                                   std::uint64_t flow) {
-  GENIE_CHECK(peer_ != nullptr || fabric_connected()) << "adapter " << name_ << " not connected";
-  const TxPath* path = route_fn_ ? route_fn_(channel) : nullptr;
-  GENIE_CHECK(!fabric_connected() || path != nullptr)
-      << "adapter " << name_ << " has no fabric route for channel " << channel;
-  Adapter* const dst = path != nullptr ? path->dst : peer_;
+  const TxPath* const path = route_fn_ ? route_fn_(channel) : nullptr;
+  GENIE_CHECK(path != nullptr) << "adapter " << name_ << " has no route for channel " << channel;
+  Adapter* const dst = path->dst;
   const std::uint64_t total = iov.total_bytes();
   GENIE_CHECK_GT(total, 0u);
   GENIE_CHECK_LE(total, kMaxAal5Payload);
@@ -122,26 +118,22 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   // Hold the whole transmit path for the whole frame (AAL5 frames on one VC
   // are not interleaved, and exclusive egress preserves the destination's
   // one-frame-at-a-time receive invariant across N senders).
-  if (path != nullptr) {
-    const SimTime arb_start = engine_.now();
-    const bool acquired = co_await AcquirePath(*path, channel, total);
-    if (!acquired) {
-      // A path link is (or went) down: the frame is dropped at the switch,
-      // consuming no wire time. A sequenced frame's loss is recovered by the
-      // ARQ retransmit timer once the partition heals.
-      ++link_down_drops_;
-      if (trace_ != nullptr) {
-        trace_->Instant(name_ + ".wire", "link_down_drop seq " + std::to_string(seq), "net",
-                        engine_.now(), flow);
-      }
-      co_return;
+  const SimTime arb_start = engine_.now();
+  const bool acquired = co_await AcquirePath(*path, channel, total);
+  if (!acquired) {
+    // A path link is (or went) down: the frame is dropped at the switch,
+    // consuming no wire time. A sequenced frame's loss is recovered by the
+    // ARQ retransmit timer once the partition heals.
+    ++link_down_drops_;
+    if (trace_ != nullptr) {
+      trace_->Instant(name_ + ".wire", "link_down_drop seq " + std::to_string(seq), "net",
+                      engine_.now(), flow);
     }
-    if (trace_ != nullptr && engine_.now() > arb_start) {
-      // Only an arbitration wait that actually suspended gets a span.
-      trace_->Span(name_ + ".wire", "fabric_wait", "net", arb_start, engine_.now(), flow);
-    }
-  } else {
-    co_await tx_link_->Acquire();
+    co_return;
+  }
+  if (trace_ != nullptr && engine_.now() > arb_start) {
+    // Only an arbitration wait that actually suspended gets a span.
+    trace_->Span(name_ + ".wire", "fabric_wait", "net", arb_start, engine_.now(), flow);
   }
   // Injected short transfer: the device stops after `arg` bytes (at least
   // one; default half the frame), as when cell loss truncates an AAL5 frame.
@@ -178,11 +170,10 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
 
   const SimTime wire_start = engine_.now();
   if (deliver_now) {
-    dst->BeginRxFrame(channel, header, tag, seq, flow, src_epoch, dst_epoch);
+    dst->BeginRxFrame(channel, header, tag, seq, flow, src_epoch, dst_epoch, wire_bytes);
   }
   HeldFrame snapshot;
   if (need_snapshot) {
-    snapshot.dst = dst;
     snapshot.path = path;
     snapshot.channel = channel;
     snapshot.header = header;
@@ -206,9 +197,9 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     // engine reads them. Earlier or later application stores are or are not
     // visible exactly as on real cut-through hardware (page granularity).
     ReadFromIoVec(pm_, iov, sent, std::span<std::byte>(chunk.get(), n));
-    if (tx_cpu_ != nullptr && driver_us_per_byte_ > 0) {
+    if (cpu_ != nullptr && driver_us_per_byte_ > 0) {
       // Driver/descriptor processing overlapping this chunk's wire time.
-      tx_cpu_->RunDetached(MicrosToSimTime(static_cast<double>(n) * driver_us_per_byte_));
+      cpu_->RunDetached(MicrosToSimTime(static_cast<double>(n) * driver_us_per_byte_));
     }
     co_await Delay(engine_, MicrosToSimTime(static_cast<double>(n) * link_us_per_byte_));
     const bool is_last = sent + n == wire_bytes;
@@ -219,7 +210,7 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
       dst->DeliverChunk(std::span<const std::byte>(chunk.get(), n), is_last);
     }
     sent += n;
-    if (path != nullptr && sent < wire_bytes && PathDown(*path)) {
+    if (sent < wire_bytes && PathDown(*path)) {
       // A path link died under the streaming frame: the carrier is gone, so
       // the tail never arrives. The delivered prefix fails the AAL5 CRC and
       // takes the normal damaged-frame recovery (nack + retransmit).
@@ -291,19 +282,14 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
     trace_->Span(name_ + ".wire", "frame " + std::to_string(total) + "B", "net", wire_start,
                  engine_.now(), flow);
   }
-  if (path != nullptr) {
-    ReleasePath(*path);
-  } else {
-    tx_link_->Release();
-  }
+  ReleasePath(*path);
   ++frames_sent_;
 }
 
 void Adapter::DeliverSnapshot(const HeldFrame& frame) {
-  Adapter* const dst = frame.dst != nullptr ? frame.dst : peer_;
-  GENIE_CHECK(dst != nullptr);
+  Adapter* const dst = frame.path->dst;
   dst->BeginRxFrame(frame.channel, frame.header, frame.tag, frame.seq, frame.flow,
-                    frame.src_epoch, frame.dst_epoch);
+                    frame.src_epoch, frame.dst_epoch, frame.bytes.size());
   std::size_t done = 0;
   while (done < frame.bytes.size()) {
     const std::size_t n = std::min(config_.chunk_bytes, frame.bytes.size() - done);
@@ -314,7 +300,17 @@ void Adapter::DeliverSnapshot(const HeldFrame& frame) {
   dst->EndRxFrame(frame.crc_ok);
 }
 
-void Adapter::DeliverHeldFramesLocked(Adapter* dst) {
+std::deque<Adapter::HeldFrame> Adapter::TakeHeldFrames(const Adapter* dst) {
+  std::deque<HeldFrame> taken;
+  std::deque<HeldFrame> keep;
+  for (HeldFrame& frame : held_) {
+    (frame.path->dst == dst ? taken : keep).push_back(std::move(frame));
+  }
+  held_ = std::move(keep);
+  return taken;
+}
+
+void Adapter::DeliverHeldFramesLocked(const Adapter* dst) {
   // Only frames bound for `dst` may ride this grant: the caller holds that
   // destination's egress, and delivering to any other adapter here would
   // interleave with a frame it might be receiving. Other destinations' held
@@ -322,61 +318,34 @@ void Adapter::DeliverHeldFramesLocked(Adapter* dst) {
   if (held_.empty()) {
     return;
   }
-  std::deque<HeldFrame> keep;
-  while (!held_.empty()) {
-    HeldFrame frame = std::move(held_.front());
-    held_.pop_front();
-    if ((frame.dst != nullptr ? frame.dst : peer_) != dst) {
-      keep.push_back(std::move(frame));
-      continue;
-    }
+  for (const HeldFrame& frame : TakeHeldFrames(dst)) {
     if (trace_ != nullptr) {
       trace_->Instant(name_ + ".wire", "link_late_delivery seq " + std::to_string(frame.seq),
                       "net", engine_.now(), frame.flow);
     }
     DeliverSnapshot(frame);
   }
-  held_ = std::move(keep);
 }
 
 Task<void> Adapter::FlushHeldFrames() {
   while (!held_.empty()) {
     // Each flush round acquires the front frame's own transmit path (held
     // frames may target different destinations on a fabric) and drains every
-    // held frame sharing that destination. Legacy point-to-point wiring
-    // degenerates to the old behavior: one uncontended acquire, full drain.
-    const TxPath* const path = held_.front().path;
-    Adapter* const dst = held_.front().dst != nullptr ? held_.front().dst : peer_;
-    if (path != nullptr) {
-      const bool acquired =
-          co_await AcquirePath(*path, held_.front().channel, held_.front().bytes.size());
-      if (!acquired) {
-        // The replay path is down: every held frame bound for this
-        // destination is dropped (held-frame drop on link down).
-        std::deque<HeldFrame> keep;
-        while (!held_.empty()) {
-          HeldFrame frame = std::move(held_.front());
-          held_.pop_front();
-          if (frame.dst != dst) {
-            keep.push_back(std::move(frame));
-            continue;
-          }
-          ++link_down_drops_;
-          if (trace_ != nullptr) {
-            trace_->Instant(name_ + ".wire",
-                            "held_drop_link_down seq " + std::to_string(frame.seq), "net",
-                            engine_.now(), frame.flow);
-          }
-        }
-        held_ = std::move(keep);
-        continue;
+    // held frame sharing that destination.
+    const TxPath& path = *held_.front().path;
+    if (co_await AcquirePath(path, held_.front().channel, held_.front().bytes.size())) {
+      DeliverHeldFramesLocked(path.dst);
+      ReleasePath(path);
+      continue;
+    }
+    // The replay path is down: every held frame bound for this destination
+    // is dropped (held-frame drop on link down).
+    for (const HeldFrame& frame : TakeHeldFrames(path.dst)) {
+      ++link_down_drops_;
+      if (trace_ != nullptr) {
+        trace_->Instant(name_ + ".wire", "held_drop_link_down seq " + std::to_string(frame.seq),
+                        "net", engine_.now(), frame.flow);
       }
-      DeliverHeldFramesLocked(dst);
-      ReleasePath(*path);
-    } else {
-      co_await tx_link_->Acquire();
-      DeliverHeldFramesLocked(dst);
-      tx_link_->Release();
     }
   }
 }
@@ -619,7 +588,7 @@ std::size_t Adapter::posted_receives(std::uint64_t channel) const {
 
 void Adapter::BeginRxFrame(std::uint64_t channel, std::uint32_t header, std::uint32_t tag,
                            std::uint64_t seq, std::uint64_t flow, std::uint32_t src_epoch,
-                           std::uint32_t dst_epoch) {
+                           std::uint32_t dst_epoch, std::uint64_t wire_bytes) {
   GENIE_CHECK(!rx_.has_value()) << "overlapping frames on one link";
   rx_.emplace();
   rx_->channel = channel;
@@ -694,6 +663,9 @@ void Adapter::BeginRxFrame(std::uint64_t channel, std::uint32_t header, std::uin
       rx_->posted = std::move(it->second.front());
       it->second.pop_front();
     }
+  } else if (config_.rx_buffering == InputBuffering::kOutboard) {
+    // Stage the frame in one allocation instead of growing it chunk by chunk.
+    rx_->outboard.reserve(wire_bytes);
   }
 }
 
@@ -745,11 +717,11 @@ void Adapter::DeliverChunk(std::span<const std::byte> data, bool is_last) {
     GENIE_CHECK(rx_discarded_inflight_) << "chunk with no frame on " << name_;
     return;
   }
-  if (rx_cpu_ != nullptr && driver_us_per_byte_ > 0 && !is_last && !crashed_) {
+  if (cpu_ != nullptr && driver_us_per_byte_ > 0 && !is_last && !crashed_) {
     // Receive-side driver work overlapping the rest of the frame's arrival.
     // The final chunk's share is folded into the interrupt processing that
     // completion charges, so it is skipped here to keep it off the wire path.
-    rx_cpu_->RunDetached(MicrosToSimTime(static_cast<double>(data.size()) * driver_us_per_byte_));
+    cpu_->RunDetached(MicrosToSimTime(static_cast<double>(data.size()) * driver_us_per_byte_));
   }
   RxState& rx = *rx_;
   if (rx.dropped || rx.duplicate || rx.silent_drop || rx.fenced) {

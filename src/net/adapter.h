@@ -46,13 +46,13 @@ namespace genie {
 class Adapter;
 class SwitchLink;
 
-// A resolved transmit route through the switched fabric: the destination
-// adapter plus the ordered chain of arbitrated links (source uplink, an
-// optional dumbbell trunk, destination egress) a frame must hold while it
-// streams. Links are always acquired in array order and released in reverse;
-// the global order uplink < trunk < egress makes the hold-while-waiting
-// discipline deadlock-free. Owned by the Fabric's channel table — the
-// pointer stays valid until the channel is closed.
+// A resolved transmit route: the destination adapter plus the ordered chain
+// of arbitrated links a frame holds while it streams ([link] on a point-to-
+// point wire; source uplink, optional dumbbell trunk, destination egress on
+// the fabric). Links are acquired in array order and released in reverse;
+// the fabric's global order uplink < trunk < egress makes hold-while-waiting
+// deadlock-free. Owned by the adapter (ConnectTo) or by the Fabric's channel
+// table, where the pointer stays valid until the channel is closed.
 struct TxPath {
   Adapter* dst = nullptr;
   std::array<SwitchLink*, 3> links{};
@@ -129,11 +129,11 @@ class Adapter {
   void set_trace(TraceLog* trace) { trace_ = trace; }
 
   // Optional host-CPU driver work per transferred byte (descriptor and
-  // buffer-chain processing that overlaps the wire transfer). Contributes to
-  // CPU utilization but not to latency while the CPU is otherwise idle.
-  void SetDriverWork(Resource* tx_cpu, Resource* rx_cpu, double driver_us_per_byte) {
-    tx_cpu_ = tx_cpu;
-    rx_cpu_ = rx_cpu;
+  // buffer-chain processing that overlaps the wire transfer), charged to
+  // `cpu` on transmit and receive. Contributes to CPU utilization but not to
+  // latency while the CPU is otherwise idle.
+  void SetDriverWork(Resource* cpu, double driver_us_per_byte) {
+    cpu_ = cpu;
     driver_us_per_byte_ = driver_us_per_byte;
   }
 
@@ -145,20 +145,17 @@ class Adapter {
   BufferPool* pool() { return pool_.get(); }
 
   // Wires this adapter's transmit side to `peer`'s receive side over `link`
-  // (a Resource modelling the ATM virtual circuit in this direction).
-  void ConnectTo(Adapter* peer, Resource* link);
+  // (the ATM virtual circuit in this direction): every channel's route is
+  // the one-hop path [link] to `peer`.
+  void ConnectTo(Adapter* peer, SwitchLink* link);
 
-  // --- Switched-fabric wiring (src/net/fabric.h) ---
-  // `route` resolves the transmit path for a channel (nullptr = unrouted,
-  // which aborts the transmit: frames on a fabric never guess their
-  // destination); `control_peer` resolves the adapter that acks, SACKs and
-  // credit cells for a channel return to (nullptr = no return path yet).
-  // Fabric wiring replaces the point-to-point peer/link pair; a fabric-
-  // attached adapter reaches a different destination per channel.
+  // Installs the adapter's one wiring: `route` resolves a channel's transmit
+  // path (nullptr = unrouted: a transmit aborts, and the channel has no
+  // control-cell return path). The route's destination also receives the
+  // channel's acks, SACK trains, fences and credit cells. Fabric::Attach
+  // routes each channel through the switch (src/net/fabric.h).
   using RouteFn = std::function<const TxPath*(std::uint64_t channel)>;
-  using ControlPeerFn = std::function<Adapter*(std::uint64_t channel)>;
-  void ConnectFabric(RouteFn route, ControlPeerFn control_peer);
-  bool fabric_connected() const { return static_cast<bool>(route_fn_); }
+  void ConnectFabric(RouteFn route);
 
   // Transmits one AAL5 frame gathering payload from `iov`. Completes when
   // the last byte has left the wire (transmit-complete interrupt time).
@@ -350,7 +347,6 @@ class Adapter {
     std::uint64_t flow = 0;
     std::uint32_t src_epoch = 0;
     std::uint32_t dst_epoch = 0;
-    bool crc_failed = false;
     // Taken at BeginRxFrame (early demux) or EndRxFrame (pooled, outboard).
     std::optional<PostedReceive> posted;
     bool named = false;  // posted came from the named-buffer registry
@@ -367,10 +363,9 @@ class Adapter {
   };
 
   // A frame captured byte-for-byte at its original DMA instants, awaiting a
-  // deferred (reordered) or repeated (duplicated) delivery. `dst`/`path`
-  // record the route resolved at capture time: a late delivery must reach
-  // the same destination over the same links (point-to-point frames carry
-  // path == nullptr and fall back to the peer/tx-link pair).
+  // deferred (reordered) or repeated (duplicated) delivery. `path` records
+  // the route resolved at capture time: a late delivery must reach the same
+  // destination (`path->dst`) over the same links.
   struct HeldFrame {
     std::uint64_t channel = 0;
     std::uint32_t header = 0;
@@ -380,7 +375,6 @@ class Adapter {
     std::uint32_t src_epoch = 0;
     std::uint32_t dst_epoch = 0;
     bool crc_ok = true;
-    Adapter* dst = nullptr;
     const TxPath* path = nullptr;
     std::vector<std::byte> bytes;
   };
@@ -399,10 +393,11 @@ class Adapter {
     std::uint32_t src_epoch = 0;
   };
 
-  // Peer-side delivery, called by the transmitting adapter.
+  // Peer-side delivery, called by the transmitting adapter, which will
+  // stream `wire_bytes` (an outboard device stages them in one allocation).
   void BeginRxFrame(std::uint64_t channel, std::uint32_t header, std::uint32_t tag,
                     std::uint64_t seq, std::uint64_t flow, std::uint32_t src_epoch,
-                    std::uint32_t dst_epoch);
+                    std::uint32_t dst_epoch, std::uint64_t wire_bytes);
   void DeliverChunk(std::span<const std::byte> data, bool is_last);
   void EndRxFrame(bool crc_ok);
 
@@ -419,10 +414,13 @@ class Adapter {
   void DeliverSnapshot(const HeldFrame& frame);
   // Delivers every held frame bound for `dst` (whose path the caller holds),
   // oldest first; frames for other destinations wait for their timer flush.
-  void DeliverHeldFramesLocked(Adapter* dst);
+  void DeliverHeldFramesLocked(const Adapter* dst);
   Task<void> FlushHeldFrames();
+  // Removes and returns the held frames bound for `dst`, oldest first; the
+  // rest stay held in order.
+  std::deque<HeldFrame> TakeHeldFrames(const Adapter* dst);
 
-  // Fabric path acquisition: holds `path`'s links in array order (the
+  // Path acquisition: holds `path`'s links in array order (the
   // deadlock-free global order), releases in reverse. `channel`/`bytes`
   // feed the per-channel DRR arbiter at each hop. Returns false — with
   // every partially-acquired link released — when a link on the path went
@@ -432,11 +430,11 @@ class Adapter {
   // True when any link on the path is down (partition in effect).
   static bool PathDown(const TxPath& path);
 
-  // The adapter acks / SACK trains / credit cells for `channel` return to.
-  // Point-to-point wiring: the single peer. Fabric wiring: the channel's
-  // routed source, resolved through the fabric's table.
+  // The adapter acks / SACK trains / credit cells for `channel` return to:
+  // the channel's route destination (nullptr = unrouted, no return path).
   Adapter* ControlPeer(std::uint64_t channel) const {
-    return control_peer_fn_ ? control_peer_fn_(channel) : peer_;
+    const TxPath* const route = route_fn_ ? route_fn_(channel) : nullptr;
+    return route != nullptr ? route->dst : nullptr;
   }
 
   // Schedules a per-sequence control cell back to the sending peer: a nack,
@@ -498,12 +496,9 @@ class Adapter {
   Config config_;
   double link_us_per_byte_;
 
-  Adapter* peer_ = nullptr;
-  Resource* tx_link_ = nullptr;
+  TxPath wire_;  // ConnectTo's one-hop route
   RouteFn route_fn_;
-  ControlPeerFn control_peer_fn_;
-  Resource* tx_cpu_ = nullptr;
-  Resource* rx_cpu_ = nullptr;
+  Resource* cpu_ = nullptr;  // the host CPU charged with driver work
   double driver_us_per_byte_ = 0.0;
 
   std::map<std::uint64_t, std::deque<PostedReceive>> posted_;

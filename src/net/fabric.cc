@@ -40,8 +40,7 @@ void Fabric::Attach(Adapter& adapter, int side) {
   port.down = std::make_unique<SwitchLink>(*engine_, "fabric." + adapter.name() + ".down",
                                            config_.drr_quantum_bytes);
   adapter.ConnectFabric(
-      [this, self = &adapter](std::uint64_t ch) { return RouteFor(*self, ch); },
-      [this, self = &adapter](std::uint64_t ch) { return ControlPeerFor(*self, ch); });
+      [this, self = &adapter](std::uint64_t ch) { return RouteFor(*self, ch); });
 }
 
 TxPath Fabric::BuildPath(const Port& src, const Port& dst) {
@@ -83,20 +82,6 @@ const TxPath* Fabric::RouteFor(const Adapter& self, std::uint64_t ch) const {
   }
   if (it->second.b == &self) {
     return &it->second.b_to_a;
-  }
-  return nullptr;
-}
-
-Adapter* Fabric::ControlPeerFor(const Adapter& self, std::uint64_t ch) const {
-  auto it = routes_.find(ch);
-  if (it == routes_.end()) {
-    return nullptr;
-  }
-  if (it->second.a == &self) {
-    return it->second.b;
-  }
-  if (it->second.b == &self) {
-    return it->second.a;
   }
   return nullptr;
 }

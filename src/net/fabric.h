@@ -1,4 +1,5 @@
-// A switched N-port fabric replacing point-to-point adapter wiring.
+// A switched N-port fabric: the multi-hop generalization of a point-to-point
+// wire (Adapter::ConnectTo, a one-hop path).
 //
 // Each attached adapter gets a Port: an ingress (uplink) and an egress
 // (downlink) SwitchLink, both DRR-arbitrated per channel. A star topology
@@ -10,16 +11,16 @@
 //
 // Frames hold their whole path while streaming (acquire in the global order
 // uplink < trunk < egress, release in reverse), which keeps the receive side
-// of every adapter single-frame-at-a-time exactly as point-to-point wiring
-// did, and makes hold-while-waiting deadlock-free: wait-for edges only point
+// of every adapter single-frame-at-a-time exactly as a one-hop wire does,
+// and makes hold-while-waiting deadlock-free: wait-for edges only point
 // from lower- to higher-ranked links, so no cycle can form. The price is
 // input-queued head-of-line blocking, which the fairness tests observe.
 //
 // Channels are bidirectional: OpenChannel(ch, a, b) installs routes in both
-// directions plus the control-cell return mapping (acks, SACK trains, and
-// flow-control credits ride a lossless out-of-band path straight to the
-// other end, as with point-to-point wiring). Route pointers stay valid until
-// CloseChannel.
+// directions. A route's destination is also where the channel's control
+// cells go (acks, SACK trains and flow-control credits ride a lossless
+// out-of-band path straight to the other end, as on a point-to-point wire).
+// Route pointers stay valid until CloseChannel.
 #ifndef GENIE_SRC_NET_FABRIC_H_
 #define GENIE_SRC_NET_FABRIC_H_
 
@@ -58,21 +59,20 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  // Attaches `adapter` as a fabric port and installs the fabric's routing
-  // hooks on it (Adapter::ConnectFabric — mutually exclusive with
-  // ConnectTo). `side` selects the dumbbell half (0 or 1); stars ignore it.
+  // Attaches `adapter` as a fabric port and installs the fabric's route
+  // table as its wiring (Adapter::ConnectFabric; an adapter has one wiring).
+  // `side` selects the dumbbell half (0 or 1); stars ignore it.
   void Attach(Adapter& adapter, int side = 0);
 
   // Opens channel `ch` between two attached adapters: routes in both
-  // directions plus the control-cell return mapping. A channel id is global
-  // to the fabric — each id connects exactly one adapter pair.
+  // directions. A channel id is global to the fabric — each id connects
+  // exactly one adapter pair.
   void OpenChannel(std::uint64_t ch, Adapter& a, Adapter& b);
   void CloseChannel(std::uint64_t ch);
 
-  // Route/control resolution relative to `self` (the transmitting adapter).
+  // Route resolution relative to `self` (the transmitting adapter).
   // Returns nullptr when `self` is not an end of `ch`.
   const TxPath* RouteFor(const Adapter& self, std::uint64_t ch) const;
-  Adapter* ControlPeerFor(const Adapter& self, std::uint64_t ch) const;
 
   std::size_t ports() const { return ports_.size(); }
   std::size_t channels() const { return routes_.size(); }

@@ -39,7 +39,7 @@ enum class Stage : std::uint8_t {
                      // nack pauses
   kDispose,          // sender + receiver dispose
   kWindowStall,      // admission blocked on a full selective-repeat window
-  kFabricWait,       // blocked in switch-fabric arbitration (contended links)
+  kFabricWait,       // waiting for a contended link (point-to-point or switched)
   kOther,            // covered by no span (fixed hardware latencies, gaps)
 };
 inline constexpr std::size_t kStageCount = 10;

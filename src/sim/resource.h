@@ -1,4 +1,4 @@
-// A FIFO-served exclusive resource (CPU, DMA engine, network link) with
+// A FIFO-served exclusive resource (e.g. a node's CPU) with
 // busy-time accounting for utilization measurements (paper Figure 4).
 #ifndef GENIE_SRC_SIM_RESOURCE_H_
 #define GENIE_SRC_SIM_RESOURCE_H_

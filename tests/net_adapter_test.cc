@@ -10,8 +10,8 @@
 
 #include "src/cost/cost_model.h"
 #include "src/net/iovec_io.h"
+#include "src/net/switch_link.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -20,7 +20,10 @@ constexpr std::uint32_t kPage = 4096;
 
 class AdapterTest : public ::testing::Test {
  protected:
-  AdapterTest() : cost_(MachineProfile::MicronP166()), pm_(128, kPage), link_(eng_, "link") {}
+  AdapterTest()
+      : cost_(MachineProfile::MicronP166()),
+        pm_(128, kPage),
+        link_(eng_, "link", kMaxAal5Payload) {}
 
   std::unique_ptr<Adapter> MakeTx() {
     return std::make_unique<Adapter>(eng_, pm_, cost_, "tx", Adapter::Config{});
@@ -61,7 +64,7 @@ class AdapterTest : public ::testing::Test {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource link_;
+  SwitchLink link_;
   std::vector<FrameId> frames_;
 };
 
@@ -425,7 +428,7 @@ struct AckRecord {
 };
 
 TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
-  Resource back(eng_, "back");
+  SwitchLink back(eng_, "back", kMaxAal5Payload);
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
   tx->ConnectTo(rx.get(), &link_);
@@ -481,7 +484,7 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
 }
 
 TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
-  Resource back(eng_, "back");
+  SwitchLink back(eng_, "back", kMaxAal5Payload);
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
   tx->ConnectTo(rx.get(), &link_);
@@ -614,7 +617,7 @@ TEST_F(AdapterTest, LinkDuplicateDeliversUnsequencedFrameTwice) {
 }
 
 TEST_F(AdapterTest, LinkDuplicateOfSequencedFrameSuppressed) {
-  Resource back(eng_, "back");
+  SwitchLink back(eng_, "back", kMaxAal5Payload);
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
   tx->ConnectTo(rx.get(), &link_);
@@ -710,6 +713,37 @@ TEST_F(AdapterTest, LinkReorderFlushTimerDeliversLoneHeldFrame) {
   EXPECT_EQ(rx->frames_received(), 1u);
 }
 
+TEST_F(AdapterTest, HeldFrameIsDroppedWhenItsLinkIsDownAtReplay) {
+  // A held frame replays over the path it went out on. The point-to-point
+  // link goes down after the frame left the wire and before the flush timer
+  // fires, so the replay finds its path down and drops the frame.
+  auto tx = MakeTx();
+  auto rx = MakeRx(InputBuffering::kEarlyDemux);
+  tx->ConnectTo(rx.get(), &link_);
+
+  FaultPlan plan(1);
+  FaultRule rule;
+  rule.site = FaultSite::kLinkReorder;
+  rule.nth = 1;
+  rule.arg = 30'000;
+  plan.AddRule(rule);
+  tx->set_fault_plan(&plan);
+
+  const IoVec src = MakeBuffer(kPage, 5);
+  const IoVec dst = MakeBuffer(kPage, 0);
+  bool delivered = false;
+  rx->PostReceive(1, Adapter::PostedReceive{dst, [&](const RxCompletion&) { delivered = true; }});
+  std::move(tx->TransmitFrame(1, src)).Detach();
+  const SimTime wire = MicrosToSimTime(kPage * 0.0598);
+  eng_.ScheduleAfter(wire + 10'000, [this] { link_.SetDown(); });
+  eng_.Run();
+  EXPECT_EQ(tx->link_frames_reordered(), 1u);
+  EXPECT_EQ(tx->link_down_drops(), 1u);
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(rx->frames_received(), 0u);
+  EXPECT_EQ(rx->posted_receives(1), 1u);
+}
+
 TEST_F(AdapterTest, CancelPostedReceiveRemovesQueuedBuffer) {
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
@@ -768,7 +802,7 @@ TEST_F(AdapterTest, WideWindowDuplicateStillSuppressed) {
   // The windowed receiver keeps a cumulative mark instead: anything at or
   // below it is recognized as a duplicate no matter how far the window has
   // advanced.
-  Resource back(eng_, "back");
+  SwitchLink back(eng_, "back", kMaxAal5Payload);
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
   tx->ConnectTo(rx.get(), &link_);
@@ -809,7 +843,7 @@ TEST_F(AdapterTest, WindowedReceiverBatchesSackAcks) {
   // With a window configured, per-frame ack cells are replaced by batched
   // SACK trains: frames accepted within one control-cell latency of each
   // other share a single flush.
-  Resource back(eng_, "back");
+  SwitchLink back(eng_, "back", kMaxAal5Payload);
   auto tx = MakeTx();
   auto rx = MakeRx(InputBuffering::kEarlyDemux);
   tx->ConnectTo(rx.get(), &link_);

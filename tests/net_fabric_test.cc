@@ -219,14 +219,18 @@ TEST(FabricTest, PooledAndOutboardBufferingWorkAcrossFabric) {
 }
 
 TEST(FabricTest, UnroutedChannelHasNoControlPath) {
+  // A channel's control cells go to its route's destination, so an unrouted
+  // channel has no control path at either end.
   FabricRig rig;
   EXPECT_EQ(rig.fabric.RouteFor(rig.nodes[0]->adapter(), 99), nullptr);
-  EXPECT_EQ(rig.fabric.ControlPeerFor(rig.nodes[0]->adapter(), 99), nullptr);
+  EXPECT_EQ(rig.fabric.RouteFor(rig.nodes[1]->adapter(), 99), nullptr);
   rig.fabric.OpenChannel(99, rig.nodes[0]->adapter(), rig.nodes[1]->adapter());
   ASSERT_NE(rig.fabric.RouteFor(rig.nodes[0]->adapter(), 99), nullptr);
   EXPECT_EQ(rig.fabric.RouteFor(rig.nodes[0]->adapter(), 99)->dst,
             &rig.nodes[1]->adapter());
-  EXPECT_EQ(rig.fabric.ControlPeerFor(rig.nodes[1]->adapter(), 99),
+  // The receiving end's control path leads back to the sender.
+  ASSERT_NE(rig.fabric.RouteFor(rig.nodes[1]->adapter(), 99), nullptr);
+  EXPECT_EQ(rig.fabric.RouteFor(rig.nodes[1]->adapter(), 99)->dst,
             &rig.nodes[0]->adapter());
   // A third party is not an end of the channel.
   EXPECT_EQ(rig.fabric.RouteFor(rig.nodes[2]->adapter(), 99), nullptr);

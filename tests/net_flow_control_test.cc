@@ -5,8 +5,8 @@
 
 #include "src/cost/cost_model.h"
 #include "src/net/adapter.h"
+#include "src/net/switch_link.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -15,7 +15,8 @@ constexpr std::uint32_t kPage = 4096;
 
 class FlowControlTest : public ::testing::Test {
  protected:
-  FlowControlTest() : cost_(MachineProfile::MicronP166()), pm_(64, kPage), link_(eng_, "link") {
+  FlowControlTest()
+      : cost_(MachineProfile::MicronP166()), pm_(64, kPage), link_(eng_, "link", kMaxAal5Payload) {
     Adapter::Config cfg;
     cfg.flow_control = true;
     tx_ = std::make_unique<Adapter>(eng_, pm_, cost_, "tx", cfg);
@@ -46,7 +47,7 @@ class FlowControlTest : public ::testing::Test {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource link_;
+  SwitchLink link_;
   std::unique_ptr<Adapter> tx_;
   std::unique_ptr<Adapter> rx_;
   std::vector<FrameId> frames_;

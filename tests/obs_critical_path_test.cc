@@ -340,6 +340,28 @@ TEST(CriticalPathTest, WindowedRetransmissionChargesToRetransmit) {
   EXPECT_EQ(flows_with_retransmit, 1);
 }
 
+TEST(CriticalPathTest, PointToPointLinkContentionChargesToFabricWait) {
+  // The rig's point-to-point link is a one-hop path like a fabric route. A
+  // window of 8 puts the whole burst on it at once: the first frame finds
+  // the link idle and every later one queues behind all the frames ahead of
+  // it, a wait charged to "fabric_wait" as on a switched link. A window of 1
+  // sends one frame at a time and never queues.
+  const ScenarioResult wide = RunWindowedScenario(8, false);
+  ASSERT_EQ(wide.flows.size(), static_cast<std::size_t>(kBurst));
+  EXPECT_EQ(wide.flows.front().stage(Stage::kFabricWait), 0);
+  for (std::size_t i = 1; i < wide.flows.size(); ++i) {
+    EXPECT_GT(wide.flows[i].stage(Stage::kFabricWait),
+              wide.flows[i - 1].stage(Stage::kFabricWait))
+        << wide.flows[i].flow;
+  }
+
+  const ScenarioResult serial = RunWindowedScenario(1, false);
+  ASSERT_EQ(serial.flows.size(), static_cast<std::size_t>(kBurst));
+  for (const FlowBreakdown& f : serial.flows) {
+    EXPECT_EQ(f.stage(Stage::kFabricWait), 0) << f.flow;
+  }
+}
+
 // Fabric scenario: three copy transfers incast onto node 0's egress link of
 // a 4-node star. `contended` launches them concurrently (the second and
 // third serialize behind the first in DRR arbitration); otherwise they run

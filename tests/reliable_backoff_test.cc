@@ -14,8 +14,8 @@
 
 #include "src/cost/cost_model.h"
 #include "src/net/iovec_io.h"
+#include "src/net/switch_link.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 
 namespace genie {
 namespace {
@@ -30,8 +30,8 @@ class ReliableRig {
   ReliableRig()
       : cost_(MachineProfile::MicronP166()),
         pm_(128, kPage),
-        fwd_(eng_, "fwd"),
-        back_(eng_, "back"),
+        fwd_(eng_, "fwd", kMaxAal5Payload),
+        back_(eng_, "back", kMaxAal5Payload),
         tx_(eng_, pm_, cost_, "tx", Adapter::Config{}),
         rx_(eng_, pm_, cost_, "rx", RxConfig()),
         rel_(eng_, tx_, "tx.xfer") {
@@ -97,8 +97,8 @@ class ReliableRig {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource fwd_;
-  Resource back_;
+  SwitchLink fwd_;
+  SwitchLink back_;
   Adapter tx_;
   Adapter rx_;
   ReliableDelivery rel_;

@@ -21,8 +21,8 @@
 #include "src/cost/cost_model.h"
 #include "src/genie/reliable.h"
 #include "src/net/iovec_io.h"
+#include "src/net/switch_link.h"
 #include "src/sim/engine.h"
-#include "src/sim/resource.h"
 #include "src/sim/trace.h"
 #include "tests/genie_test_util.h"
 
@@ -42,8 +42,8 @@ class RaceRig {
   RaceRig()
       : cost_(MachineProfile::MicronP166()),
         pm_(128, kPage),
-        fwd_(eng_, "fwd"),
-        back_(eng_, "back"),
+        fwd_(eng_, "fwd", kMaxAal5Payload),
+        back_(eng_, "back", kMaxAal5Payload),
         tx_(eng_, pm_, cost_, "tx", Adapter::Config{}),
         rx_(eng_, pm_, cost_, "rx", Adapter::Config{}),
         rel_(eng_, tx_, "tx.xfer") {
@@ -120,8 +120,8 @@ class RaceRig {
   Engine eng_;
   CostModel cost_;
   PhysicalMemory pm_;
-  Resource fwd_;
-  Resource back_;
+  SwitchLink fwd_;
+  SwitchLink back_;
   Adapter tx_;
   Adapter rx_;
   ReliableDelivery rel_;
