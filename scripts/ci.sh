@@ -94,9 +94,11 @@ fi
 python3 -c 'import json, sys; json.load(open(sys.argv[1]))' build/table6_trace.json
 # The paper reproduction: every paper bench (all of build/bench/ except the
 # wall-clock bench_hostpath and bench_micro_ops) and every example prints
-# only simulated results, so each one's stdout is pinned by its sha256. A
-# change to the cost model, a semantics or the simulated clock fails here,
-# naming the binaries whose output moved.
+# only simulated results, so each one's stdout is pinned by its sha256. Each
+# runs without arguments; sweep_cli also runs once with pooled and once with
+# outboard receivers, whose schedules no argument-free run covers. A change
+# to the cost model, a semantics or the simulated clock fails here, naming
+# the runs whose output moved.
 echo "paper reproduction pin"
 PAPER_PIN=$(cat <<'EOF'
 7f6e57f268d8f8a3880cd982cc0af747e626312967cfd2700e9ac7d767ee30ac  bench_ablation_optimizations
@@ -123,21 +125,24 @@ a76f4f0deb3a79b74fe3746d10641cd1ecf61878853d04d69f5a2ed9cdf89433  quickstart
 b84862a572ca1dd30361475f16fdfb5a515647137009c1d61c39eeb0cd1bf23f  rpc_pingpong
 c7947518f830ddca1e5c5b2ed14b5e684d7ba3b6fa2ebc71973d95e9dba5704c  semantics_tour
 fa5aa348403896b2c0ba2f6dbe5492b40134fded6802fb12ba3537f9c715ea68  sweep_cli
+015757c9401af0455a3f30b2ef4264004e8337e7d27050101162841eef8fbbe0  sweep_cli --semantics=all --buffering=pooled --offset=1000
+ed4dfc36b81a9ae1985a9d07a08e3c9eea7df0f693d0268ea3befdae488e69c0  sweep_cli --semantics=all --buffering=outboard
 EOF
 )
 mkdir -p build/paper_pin
-while read -r _ name; do
+while read -r _ run; do
+  read -r -a argv <<< "$run"
   dir=examples
-  [[ $name == bench_* ]] && dir=bench
-  if ! "build/$dir/$name" > "build/paper_pin/$name"; then
-    echo "paper reproduction pin failed: $name exited nonzero"
+  [[ ${argv[0]} == bench_* ]] && dir=bench
+  if ! "build/$dir/${argv[0]}" "${argv[@]:1}" > "build/paper_pin/$run"; then
+    echo "paper reproduction pin failed: $run exited nonzero"
     exit 1
   fi
 done <<< "$PAPER_PIN"
-# Each output file is named after its binary, so a mismatch prints
-# "<binary>: FAILED".
+# Each output file is named after its run (the binary and its arguments), so
+# a mismatch prints "<binary> <arguments>: FAILED".
 if ! (cd build/paper_pin && sha256sum --check --quiet <<< "$PAPER_PIN"); then
-  echo "paper reproduction pin failed: the binaries marked FAILED print other output than pinned"
+  echo "paper reproduction pin failed: the runs marked FAILED print other output than pinned"
   exit 1
 fi
 

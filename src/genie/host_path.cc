@@ -17,27 +17,16 @@ AccessResult CopyinToIoVec(AddressSpace& app, Vaddr va, std::uint64_t len, const
                            InternetChecksum* sum) {
   GENIE_CHECK_LE(len, dst.total_bytes());
   PhysicalMemory& pm = app.vm().pm();
-  std::size_t seg_i = 0;
-  std::uint64_t seg_off = 0;  // bytes already written into segment seg_i
+  std::uint64_t copied = 0;  // bytes of dst already written
   return app.ReadScatter(va, len, [&](std::span<const std::byte> chunk) {
-    std::uint64_t done = 0;
-    while (done < chunk.size()) {
-      const IoSegment& seg = dst.segments[seg_i];
-      const std::uint64_t n =
-          std::min<std::uint64_t>(seg.length - seg_off, chunk.size() - done);
-      std::span<std::byte> out = pm.DataRun(seg.frame, seg.offset + seg_off, n);
+    copied += ForEachRun(dst, copied, chunk.size(), [&](std::uint64_t pos, const IoSegment& run) {
+      std::byte* out = pm.DataRun(run.frame, run.offset, run.length).data();
       if (sum != nullptr) {
-        sum->UpdateWithCopy(chunk.subspan(done, n), out.data());
+        sum->UpdateWithCopy(chunk.subspan(pos, run.length), out);
       } else {
-        std::memcpy(out.data(), chunk.data() + done, static_cast<std::size_t>(n));
+        std::memcpy(out, chunk.data() + pos, run.length);
       }
-      done += n;
-      seg_off += n;
-      if (seg_off == seg.length) {
-        ++seg_i;
-        seg_off = 0;
-      }
-    }
+    });
   });
 }
 

@@ -13,7 +13,6 @@ Adapter::Config AdapterConfig(const Node::Config& config) {
   Adapter::Config ac;
   ac.rx_buffering = config.rx_buffering;
   ac.pool_pages = config.pool_pages;
-  ac.chunk_bytes = config.profile.page_size;
   ac.flow_control = config.flow_control;
   return ac;
 }
@@ -30,9 +29,7 @@ Node::Node(Engine& engine, std::string name, Config config)
       reliable_(std::make_unique<ReliableDelivery>(engine, adapter_, name_ + ".xfer")),
       pageout_(vm_) {
   vm_.set_low_memory_reclaimer([this](std::size_t want) { pageout_.EvictUntilFree(want); });
-  if (config.model_driver_work) {
-    adapter_.SetDriverWork(&cpu_, cost_.Line(OpKind::kDriverPerByte).slope_us_per_byte);
-  }
+  adapter_.SetDriverWork(&cpu_, cost_.Line(OpKind::kDriverPerByte).slope_us_per_byte);
   reliable_->set_metrics(&metrics_);
   RegisterComponentGauges();
 }

@@ -33,8 +33,6 @@ class Node {
     std::size_t mem_frames = 4096;
     InputBuffering rx_buffering = InputBuffering::kEarlyDemux;
     std::size_t pool_pages = 64;
-    // Charge overlapped per-byte driver work on the CPUs (Figure 4).
-    bool model_driver_work = true;
     // Credit-based flow control on the adapter (refs [2], [14]).
     bool flow_control = false;
   };

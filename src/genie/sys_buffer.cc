@@ -231,32 +231,18 @@ DisposePlan DisposeAlignedIntoApp(AddressSpace& app, Vaddr va, std::uint64_t len
 DisposePlan DisposeCopyOutIntoApp(AddressSpace& app, Vaddr va, std::uint64_t len,
                                   const IoVec& src_iov) {
   GENIE_CHECK_LE(len, src_iov.total_bytes());
+  // Store each source run straight through the application's address space
+  // (faulting pages in as needed) — no staging copy. If the application
+  // buffer is yanked (or a page-in fails) while the data is in flight, the
+  // runs already copied out stay and the caller fails the input instead of
+  // the kernel aborting.
   DisposePlan plan;
-  if (len == 0) {
-    return plan;
-  }
-  // Store each source segment straight through the application's address
-  // space (faulting pages in as needed) — no staging copy.
   PhysicalMemory& pm = app.vm().pm();
-  std::uint64_t done = 0;
-  for (const IoSegment& seg : src_iov.segments) {
-    if (done == len) {
-      break;
-    }
-    const std::uint64_t chunk = std::min<std::uint64_t>(seg.length, len - done);
-    const AccessResult res = app.Write(va + done, pm.DataRun(seg.frame, seg.offset, chunk));
-    if (res != AccessResult::kOk) {
-      // The application buffer was yanked (or a page-in failed) while the
-      // data was in flight. The bytes already copied out stay; the caller
-      // fails the input instead of the kernel aborting.
-      plan.ok = false;
-      plan.copied_bytes = done;
-      return plan;
-    }
-    done += chunk;
-  }
-  GENIE_CHECK_EQ(done, len);
-  plan.copied_bytes = len;
+  plan.copied_bytes = ForEachRun(src_iov, 0, len, [&](std::uint64_t pos, const IoSegment& run) {
+    return app.Write(va + pos, pm.DataRun(run.frame, run.offset, run.length)) ==
+           AccessResult::kOk;
+  });
+  plan.ok = plan.copied_bytes == len;
   return plan;
 }
 

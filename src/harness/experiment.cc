@@ -47,7 +47,7 @@ Testbed::Testbed(const ExperimentConfig& config) : config_(config) {
                         RegionState::kUnmovable);
   rx_app_->CreateRegion(kDstRegion, kBufferRegionBytes + receiver_->page_size(),
                         RegionState::kUnmovable);
-  src_buffer_ = kSrcRegion + config.src_page_offset;
+  src_buffer_ = kSrcRegion;
   dst_buffer_ = kDstRegion + config.dst_page_offset;
 }
 

@@ -26,7 +26,6 @@ struct ExperimentConfig {
   // Byte offset of the receive buffer within its page: 0 reproduces the
   // application-aligned experiments, nonzero the unaligned ones (Figure 7).
   std::uint32_t dst_page_offset = 0;
-  std::uint32_t src_page_offset = 0;
   // Measured repetitions per point after one warm-up (paper: averages of
   // five runs on warm caches).
   int repetitions = 5;
@@ -68,8 +67,8 @@ class Testbed {
   AddressSpace& tx_app() { return *tx_app_; }
   AddressSpace& rx_app() { return *rx_app_; }
 
-  // Application buffers (within pre-created regions), honoring the
-  // configured page offsets.
+  // Application buffers (within pre-created regions); the receive buffer
+  // honors the configured page offset.
   Vaddr src_buffer() const { return src_buffer_; }
   Vaddr dst_buffer() const { return dst_buffer_; }
 

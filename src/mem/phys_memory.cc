@@ -104,11 +104,6 @@ FrameId PhysicalMemory::TryAllocateRunMt(std::size_t count) {
   return kInvalidFrame;
 }
 
-void PhysicalMemory::FreeMt(FrameId frame) {
-  const std::lock_guard<std::mutex> lock(mt_mutex_);
-  Free(frame);
-}
-
 void PhysicalMemory::FreeRunMt(FrameId first, std::size_t count) {
   const std::lock_guard<std::mutex> lock(mt_mutex_);
   for (std::size_t i = 0; i < count; ++i) {

@@ -131,7 +131,6 @@ class PhysicalMemory {
   // recovery story beyond returning kInvalidFrame anyway). Allocation
   // points amortize the lock to one acquisition per arena refill.
   FrameId TryAllocateRunMt(std::size_t count);
-  void FreeMt(FrameId frame);
   void FreeRunMt(FrameId first, std::size_t count);
 
   // --- Fault injection (tests, stress harness) ---

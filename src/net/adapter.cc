@@ -9,6 +9,15 @@
 
 namespace genie {
 
+namespace {
+// Return time of a control cell (credit, ack, nack, SACK train).
+constexpr SimTime kCreditLatency = 5 * kMicrosecond;
+// A frame held back by an injected kLinkReorder fault is delivered when the
+// next frame goes out, or after this delay, whichever comes first (the
+// rule's arg overrides the delay per firing).
+constexpr SimTime kReorderFlushDelay = 50 * kMicrosecond;
+}  // namespace
+
 std::string_view InputBufferingName(InputBuffering b) {
   switch (b) {
     case InputBuffering::kEarlyDemux:
@@ -26,7 +35,6 @@ Adapter::Adapter(Engine& engine, PhysicalMemory& pm, const CostModel& cost, std:
     : engine_(engine), pm_(pm), name_(std::move(name)), config_(config) {
   link_us_per_byte_ = cost.Line(OpKind::kNetworkTransfer).slope_us_per_byte;
   GENIE_CHECK_GT(link_us_per_byte_, 0.0);
-  GENIE_CHECK_GT(config_.chunk_bytes, 0u);
   if (config_.rx_buffering == InputBuffering::kPooled) {
     pool_ = std::make_unique<BufferPool>(pm_, config_.pool_pages);
   }
@@ -187,12 +195,12 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
   // Every byte of the bounce chunk is written by ReadFromIoVec before it is
   // read, so it is not zero-filled.
   const std::unique_ptr<std::byte[]> chunk =
-      std::make_unique_for_overwrite<std::byte[]>(config_.chunk_bytes);
+      std::make_unique_for_overwrite<std::byte[]>(pm_.page_size());
   std::uint64_t sent = 0;
   bool carrier_lost = false;
   while (sent < wire_bytes) {
     const std::size_t n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(config_.chunk_bytes, wire_bytes - sent));
+        static_cast<std::size_t>(std::min<std::uint64_t>(pm_.page_size(), wire_bytes - sent));
     // Snapshot the bytes from the frames *now*: this is the instant the DMA
     // engine reads them. Earlier or later application stores are or are not
     // visible exactly as on real cut-through hardware (page granularity).
@@ -268,7 +276,7 @@ Task<void> Adapter::TransmitFrame(std::uint64_t channel, IoVec iov, std::uint32_
       trace_->Instant(name_ + ".wire", "link_hold seq " + std::to_string(seq), "net",
                       engine_.now(), flow);
     }
-    const SimTime flush_delay = reorder_delay_ns == 0 ? config_.reorder_flush_delay
+    const SimTime flush_delay = reorder_delay_ns == 0 ? kReorderFlushDelay
                                                       : static_cast<SimTime>(reorder_delay_ns);
     engine_.ScheduleAfter(flush_delay, [this] { std::move(FlushHeldFrames()).Detach(); });
   } else {
@@ -292,7 +300,7 @@ void Adapter::DeliverSnapshot(const HeldFrame& frame) {
                     frame.src_epoch, frame.dst_epoch, frame.bytes.size());
   std::size_t done = 0;
   while (done < frame.bytes.size()) {
-    const std::size_t n = std::min(config_.chunk_bytes, frame.bytes.size() - done);
+    const std::size_t n = std::min<std::size_t>(pm_.page_size(), frame.bytes.size() - done);
     const bool is_last = done + n == frame.bytes.size();
     dst->DeliverChunk(std::span<const std::byte>(frame.bytes.data() + done, n), is_last);
     done += n;
@@ -365,7 +373,7 @@ void Adapter::SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::ui
                         std::to_string(seq), "net", engine_.now(), flow);
   }
   // Acks ride the (lossless) control-cell path, like credits.
-  engine_.ScheduleAfter(config_.credit_latency, [peer, channel, seq, ok, e = self_epoch_] {
+  engine_.ScheduleAfter(kCreditLatency, [peer, channel, seq, ok, e = self_epoch_] {
     peer->OnAckCell(channel, seq, ok, e);
   });
 }
@@ -408,7 +416,7 @@ void Adapter::SendEpochFence(std::uint64_t channel, std::uint64_t flow) {
     trace_->Instant(name_ + ".wire", "epoch_fence e" + std::to_string(self_epoch_), "net",
                     engine_.now(), flow);
   }
-  engine_.ScheduleAfter(config_.credit_latency,
+  engine_.ScheduleAfter(kCreditLatency,
                         [peer, channel, e = self_epoch_] { peer->OnFenceCell(channel, e); });
 }
 
@@ -433,7 +441,7 @@ void Adapter::SendResync(std::uint64_t channel, std::uint64_t seq_hw) {
                     "resync hw " + std::to_string(seq_hw) + " e" + std::to_string(self_epoch_),
                     "net", engine_.now());
   }
-  engine_.ScheduleAfter(config_.credit_latency, [peer, channel, seq_hw, e = self_epoch_] {
+  engine_.ScheduleAfter(kCreditLatency, [peer, channel, seq_hw, e = self_epoch_] {
     peer->OnResyncCell(channel, e, seq_hw);
   });
 }
@@ -463,7 +471,7 @@ void Adapter::OnResyncCell(std::uint64_t channel, std::uint32_t peer_epoch,
   if (peer == nullptr) {
     return;
   }
-  engine_.ScheduleAfter(config_.credit_latency, [peer, channel, e = self_epoch_] {
+  engine_.ScheduleAfter(kCreditLatency, [peer, channel, e = self_epoch_] {
     peer->OnResyncAckCell(channel, e);
   });
 }
@@ -490,7 +498,7 @@ void Adapter::ScheduleSackFlush(std::uint64_t channel) {
   // The flush fires one control-cell latency out and snapshots the dedup
   // state *then*, so every frame accepted during the accumulation window is
   // acknowledged by the same cell train — one ack wakeup for many frames.
-  engine_.ScheduleAfter(config_.credit_latency, [this, channel] { FlushSack(channel); });
+  engine_.ScheduleAfter(kCreditLatency, [this, channel] { FlushSack(channel); });
 }
 
 void Adapter::FlushSack(std::uint64_t channel) {
@@ -558,8 +566,7 @@ void Adapter::PostReceive(std::uint64_t channel, PostedReceive posted) {
   Adapter* const peer = ControlPeer(channel);
   if (config_.flow_control && peer != nullptr) {
     // Return a credit to the sender after the control-cell latency.
-    engine_.ScheduleAfter(config_.credit_latency,
-                          [peer, channel] { peer->GrantCredit(channel); });
+    engine_.ScheduleAfter(kCreditLatency, [peer, channel] { peer->GrantCredit(channel); });
   }
 }
 

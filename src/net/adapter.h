@@ -104,8 +104,7 @@ class Adapter {
  public:
   struct Config {
     InputBuffering rx_buffering = InputBuffering::kEarlyDemux;
-    std::size_t pool_pages = 64;        // pooled mode
-    std::size_t chunk_bytes = 4096;     // streaming granularity (page)
+    std::size_t pool_pages = 64;  // pooled mode
     // Credit-based flow control (the Credit Net scheme, paper refs [2],
     // [14]): each posted receive returns one credit to the sender, in any
     // input-buffering mode; transmission blocks with no credit, so frames
@@ -113,15 +112,10 @@ class Adapter {
     // frames bypass credits, as their buffers persist. Every caller that
     // enables it runs early-demultiplexed receivers.
     bool flow_control = false;
-    SimTime credit_latency = 5 * kMicrosecond;  // control-cell return time
     // Outboard adapter memory capacity (Section 6.2.3 notes outboard
     // buffering "can add complexity and cost to the controller" — the cost
     // is finite staging RAM). Frames that would overflow it are dropped.
     std::size_t outboard_capacity_bytes = 256 * 1024;
-    // A frame held back by an injected kLinkReorder fault is delivered when
-    // the next frame goes out, or after this delay, whichever comes first
-    // (rule arg overrides the delay per firing).
-    SimTime reorder_flush_delay = 50 * kMicrosecond;
   };
 
   // Optional execution tracing: frame transmit spans land on the

@@ -168,17 +168,11 @@ std::uint16_t CopyAndChecksum(std::span<const std::byte> src, std::span<std::byt
 }
 
 std::uint16_t ChecksumOfIoVec(const PhysicalMemory& pm, const IoVec& iov, std::uint64_t bytes) {
-  GENIE_CHECK_LE(bytes, iov.total_bytes());
   InternetChecksum c;
-  std::uint64_t done = 0;
-  for (const IoSegment& seg : iov.segments) {
-    if (done == bytes) {
-      break;
-    }
-    const std::uint64_t chunk = std::min<std::uint64_t>(seg.length, bytes - done);
-    c.Update(pm.DataRun(seg.frame, seg.offset, chunk));
-    done += chunk;
-  }
+  const std::uint64_t done = ForEachRun(iov, 0, bytes, [&](std::uint64_t, const IoSegment& run) {
+    c.Update(pm.DataRun(run.frame, run.offset, run.length));
+  });
+  GENIE_CHECK_EQ(done, bytes);
   return c.value();
 }
 

@@ -92,11 +92,6 @@ Fabric::Port& Fabric::PortOf(const Adapter& adapter) {
   return it->second;
 }
 
-const Fabric::Port* Fabric::FindPort(const Adapter& adapter) const {
-  auto it = ports_.find(&adapter);
-  return it == ports_.end() ? nullptr : &it->second;
-}
-
 std::vector<SwitchLink*> Fabric::AllLinks() const {
   std::vector<SwitchLink*> links;
   for (const auto& [adapter, port] : ports_) {

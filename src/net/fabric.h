@@ -145,7 +145,6 @@ class Fabric {
   };
 
   Port& PortOf(const Adapter& adapter);
-  const Port* FindPort(const Adapter& adapter) const;
   TxPath BuildPath(const Port& src, const Port& dst);
   // Every link in the fabric, sorted by name: a deterministic order for the
   // seeded flap scheduler (the port map is keyed by pointer, whose iteration

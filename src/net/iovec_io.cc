@@ -1,6 +1,5 @@
 #include "src/net/iovec_io.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "src/util/check.h"
@@ -9,53 +8,20 @@ namespace genie {
 
 void ReadFromIoVec(const PhysicalMemory& pm, const IoVec& iov, std::uint64_t offset,
                    std::span<std::byte> out) {
-  GENIE_CHECK_LE(offset + out.size(), iov.total_bytes());
-  std::uint64_t seg_start = 0;
-  std::size_t done = 0;
-  for (const IoSegment& seg : iov.segments) {
-    if (done == out.size()) {
-      break;
-    }
-    const std::uint64_t seg_end = seg_start + seg.length;
-    const std::uint64_t want = offset + done;
-    if (want < seg_end) {
-      const std::uint64_t in_seg = want - seg_start;
-      const std::size_t chunk =
-          static_cast<std::size_t>(std::min<std::uint64_t>(seg.length - in_seg, out.size() - done));
-      std::memcpy(out.data() + done, pm.DataRun(seg.frame, seg.offset + in_seg, chunk).data(),
-                  chunk);
-      done += chunk;
-    }
-    seg_start = seg_end;
-  }
+  const std::uint64_t done =
+      ForEachRun(iov, offset, out.size(), [&](std::uint64_t pos, const IoSegment& run) {
+        std::memcpy(out.data() + pos, pm.DataRun(run.frame, run.offset, run.length).data(),
+                    run.length);
+      });
   GENIE_CHECK_EQ(done, out.size());
 }
 
 std::uint64_t WriteToIoVec(PhysicalMemory& pm, const IoVec& iov, std::uint64_t offset,
                            std::span<const std::byte> in) {
-  const std::uint64_t total = iov.total_bytes();
-  if (offset >= total) {
-    return 0;
-  }
-  const std::uint64_t writable = std::min<std::uint64_t>(in.size(), total - offset);
-  std::uint64_t seg_start = 0;
-  std::uint64_t done = 0;
-  for (const IoSegment& seg : iov.segments) {
-    if (done == writable) {
-      break;
-    }
-    const std::uint64_t seg_end = seg_start + seg.length;
-    const std::uint64_t want = offset + done;
-    if (want < seg_end) {
-      const std::uint64_t in_seg = want - seg_start;
-      const std::uint64_t chunk = std::min<std::uint64_t>(seg.length - in_seg, writable - done);
-      std::memcpy(pm.DataRun(seg.frame, seg.offset + in_seg, chunk).data(), in.data() + done,
-                  static_cast<std::size_t>(chunk));
-      done += chunk;
-    }
-    seg_start = seg_end;
-  }
-  return done;
+  return ForEachRun(iov, offset, in.size(), [&](std::uint64_t pos, const IoSegment& run) {
+    std::memcpy(pm.DataRun(run.frame, run.offset, run.length).data(), in.data() + pos,
+                run.length);
+  });
 }
 
 }  // namespace genie

@@ -30,11 +30,11 @@ void SwitchLink::Enqueue(std::uint64_t channel, std::uint64_t bytes,
     engine_->ResumeAfter(0, h);
     return;
   }
-  auto [it, inserted] = queues_.try_emplace(channel);
-  if (inserted) {
+  Channel& c = channels_[channel];
+  if (c.waiters.empty()) {
     active_.push_back(channel);
   }
-  it->second.push_back(Waiter{bytes, h, engine_->now(), dead});
+  c.waiters.push_back(Waiter{bytes, h, engine_->now(), dead});
   ++waiting_;
   max_queue_ = std::max(max_queue_, waiting_);
 }
@@ -61,10 +61,10 @@ void SwitchLink::SetDown() {
   // Drop every queued frame: resume each waiter with its dead flag set so
   // the owning transmit coroutine unwinds (releases already-held path links
   // and reports the frame lost) instead of waiting for a grant that will
-  // never come.
-  for (auto& [ch, q] : queues_) {
-    (void)ch;
-    for (Waiter& w : q) {
+  // never come. Waiters resume in channel-id order, not rotation order, so
+  // the same-instant events keep a fixed order.
+  for (auto& [ch, c] : channels_) {
+    for (Waiter& w : c.waiters) {
       ++down_drops_;
       total_wait_ += engine_->now() - w.enqueued_at;
       if (w.dead != nullptr) {
@@ -72,10 +72,10 @@ void SwitchLink::SetDown() {
       }
       engine_->ResumeAfter(0, w.handle);
     }
+    c.waiters.clear();
+    c.deficit = 0;
   }
-  queues_.clear();
   active_.clear();
-  deficit_.clear();
   waiting_ = 0;
 }
 
@@ -83,7 +83,7 @@ void SwitchLink::SetUp() {
   if (!down_) {
     return;
   }
-  GENIE_CHECK(queues_.empty()) << "frames queued on down link " << name_;
+  GENIE_CHECK_EQ(waiting_, 0u) << "frames queued on down link " << name_;
   down_ = false;
   // DRR state reset on heal: deficits and rotation order were cleared at
   // SetDown(); arbitration restarts from a clean slate.
@@ -97,26 +97,25 @@ void SwitchLink::GrantNext() {
   for (;;) {
     GENIE_CHECK(!active_.empty());
     const std::uint64_t ch = active_.front();
-    auto qit = queues_.find(ch);
-    GENIE_CHECK(qit != queues_.end() && !qit->second.empty());
-    std::uint64_t& deficit = deficit_[ch];
-    if (qit->second.front().bytes > deficit) {
-      deficit += quantum_;
+    Channel& c = channels_.at(ch);
+    GENIE_CHECK(!c.waiters.empty());
+    if (c.waiters.front().bytes > c.deficit) {
+      c.deficit += quantum_;
       active_.pop_front();
       active_.push_back(ch);
       continue;
     }
-    deficit -= qit->second.front().bytes;
-    Waiter w = std::move(qit->second.front());
-    qit->second.pop_front();
+    c.deficit -= c.waiters.front().bytes;
+    Waiter w = std::move(c.waiters.front());
+    c.waiters.pop_front();
     --waiting_;
     total_wait_ += engine_->now() - w.enqueued_at;
-    if (qit->second.empty()) {
-      // An emptied channel leaves the rotation and forfeits its residual
-      // deficit (classic DRR: credit does not accumulate while idle).
-      queues_.erase(qit);
-      deficit_.erase(ch);
-      active_.erase(std::find(active_.begin(), active_.end(), ch));
+    if (c.waiters.empty()) {
+      // An emptied channel leaves the rotation (it is the front) and
+      // forfeits its residual deficit (classic DRR: credit does not
+      // accumulate while idle). Its queue stays for the link's life.
+      c.deficit = 0;
+      active_.pop_front();
     }
     held_ = true;
     grant_time_ = engine_->now();

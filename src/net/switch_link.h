@@ -85,6 +85,13 @@ class SwitchLink {
     bool* dead = nullptr;  // set before resume when the link went down
   };
 
+  // A channel's FIFO and DRR deficit, kept for the link's life once the
+  // channel first queues a frame.
+  struct Channel {
+    std::deque<Waiter> waiters;
+    std::uint64_t deficit = 0;
+  };
+
   void GrantNext();
 
   Engine* engine_;
@@ -93,9 +100,8 @@ class SwitchLink {
   bool held_ = false;
   SimTime grant_time_ = 0;
   SimTime busy_accum_ = 0;
-  std::map<std::uint64_t, std::deque<Waiter>> queues_;  // channel -> FIFO
+  std::map<std::uint64_t, Channel> channels_;
   std::deque<std::uint64_t> active_;  // DRR rotation over channels with waiters
-  std::map<std::uint64_t, std::uint64_t> deficit_;
   std::size_t waiting_ = 0;
   std::size_t max_queue_ = 0;
   std::uint64_t grants_ = 0;

@@ -180,93 +180,63 @@ Region* AddressSpace::RegionAt(Vaddr start) {
 
 // --- Application access ---
 
-AccessResult AddressSpace::ReadScatter(
-    Vaddr va, std::uint64_t len,
-    const std::function<void(std::span<const std::byte>)>& sink) {
+template <bool kWrite, typename Fn>
+AccessResult AddressSpace::WalkRuns(Vaddr va, std::uint64_t len, Fn&& fn) {
+  const auto has_access = [](Prot prot) { return kWrite ? CanWrite(prot) : CanRead(prot); };
   std::uint64_t done = 0;
   while (done < len) {
     const Vaddr addr = va + done;
     const Vaddr base = PageBase(addr);
     Pte pte;
-    if (!LookupPte(base, &pte) || !CanRead(pte.prot)) {
-      if (FaultIn(addr, /*for_write=*/false) != AccessResult::kOk) {
+    if (!LookupPte(base, &pte) || !has_access(pte.prot)) {
+      if (FaultIn(addr, kWrite) != AccessResult::kOk) {
         return AccessResult::kUnrecoverableFault;
       }
       const bool mapped = LookupPte(base, &pte);
-      GENIE_CHECK(mapped && CanRead(pte.prot));
+      GENIE_CHECK(mapped && has_access(pte.prot));
     }
     const std::uint64_t offset = addr - base;
-    std::uint64_t chunk = std::min<std::uint64_t>(page_size_ - offset, len - done);
-    // Extend over physically contiguous pages already mapped readable, so
-    // one chunk (one memcpy downstream) spans the whole run.
-    FrameId next_frame = pte.frame + 1;
-    Vaddr next_base = base + page_size_;
+    std::uint64_t bytes = std::min<std::uint64_t>(page_size_ - offset, len - done);
     std::uint64_t pages = 1;
-    while (done + chunk < len) {
-      Pte npte;
-      if (!LookupPte(next_base, &npte) || !CanRead(npte.prot) || npte.frame != next_frame) {
+    for (Pte next; done + bytes < len; ++pages) {
+      if (!LookupPte(base + pages * page_size_, &next) || !has_access(next.prot) ||
+          next.frame != pte.frame + pages) {
         break;
       }
-      chunk += std::min<std::uint64_t>(page_size_, len - done - chunk);
-      ++next_frame;
-      next_base += page_size_;
-      ++pages;
+      bytes += std::min<std::uint64_t>(page_size_, len - done - bytes);
     }
     if (pages > 1) {
       ++counters_.coalesced_runs;
       counters_.coalesced_pages += pages - 1;
     }
-    sink(vm_->pm().DataRun(pte.frame, offset, chunk));
-    done += chunk;
+    fn(pte.frame, offset, bytes);
+    done += bytes;
   }
   return AccessResult::kOk;
 }
 
+AccessResult AddressSpace::ReadScatter(
+    Vaddr va, std::uint64_t len,
+    const std::function<void(std::span<const std::byte>)>& sink) {
+  return WalkRuns<false>(va, len, [&](FrameId frame, std::uint64_t offset, std::uint64_t bytes) {
+    sink(vm_->pm().DataRun(frame, offset, bytes));
+  });
+}
+
 AccessResult AddressSpace::Read(Vaddr va, std::span<std::byte> out) {
-  std::size_t done = 0;
-  return ReadScatter(va, out.size(), [&](std::span<const std::byte> chunk) {
-    std::memcpy(out.data() + done, chunk.data(), chunk.size());
-    done += chunk.size();
+  std::byte* dst = out.data();
+  return WalkRuns<false>(va, out.size(), [&](FrameId frame, std::uint64_t off, std::uint64_t n) {
+    std::memcpy(dst, vm_->pm().DataRun(frame, off, n).data(), n);
+    dst += n;
   });
 }
 
 AccessResult AddressSpace::Write(Vaddr va, std::span<const std::byte> in) {
-  std::size_t done = 0;
-  while (done < in.size()) {
-    const Vaddr addr = va + done;
-    const Vaddr base = PageBase(addr);
-    Pte pte;
-    if (!LookupPte(base, &pte) || !CanWrite(pte.prot)) {
-      if (FaultIn(addr, /*for_write=*/true) != AccessResult::kOk) {
-        return AccessResult::kUnrecoverableFault;
-      }
-      const bool mapped = LookupPte(base, &pte);
-      GENIE_CHECK(mapped && CanWrite(pte.prot));
-    }
-    const std::size_t offset = addr - base;
-    std::uint64_t chunk = std::min<std::uint64_t>(page_size_ - offset, in.size() - done);
-    FrameId next_frame = pte.frame + 1;
-    Vaddr next_base = base + page_size_;
-    std::uint64_t pages = 1;
-    while (done + chunk < in.size()) {
-      Pte npte;
-      if (!LookupPte(next_base, &npte) || !CanWrite(npte.prot) || npte.frame != next_frame) {
-        break;
-      }
-      chunk += std::min<std::uint64_t>(page_size_, in.size() - done - chunk);
-      ++next_frame;
-      next_base += page_size_;
-      ++pages;
-    }
-    if (pages > 1) {
-      ++counters_.coalesced_runs;
-      counters_.coalesced_pages += pages - 1;
-    }
-    std::memcpy(vm_->pm().DataRun(pte.frame, offset, chunk).data(), in.data() + done,
-                static_cast<std::size_t>(chunk));
-    done += chunk;
-  }
-  return AccessResult::kOk;
+  const std::byte* src = in.data();
+  return WalkRuns<true>(va, in.size(), [&](FrameId frame, std::uint64_t off, std::uint64_t n) {
+    std::memcpy(vm_->pm().DataRun(frame, off, n).data(), src, n);
+    src += n;
+  });
 }
 
 AccessResult AddressSpace::FaultIn(Vaddr va, bool for_write) {
@@ -560,37 +530,13 @@ void AddressSpace::Reinstate(Vaddr va, std::uint64_t len) {
 }
 
 AccessResult AddressSpace::WireRange(Vaddr va, std::uint64_t len, bool for_write) {
-  const Vaddr end = va + len;
-  Vaddr p = PageBase(va);
-  while (p < end) {
-    if (FaultIn(p, for_write) != AccessResult::kOk) {
-      return AccessResult::kUnrecoverableFault;
+  const auto wire = [&](FrameId first, std::uint64_t offset, std::uint64_t bytes) {
+    const auto pages = static_cast<FrameId>((offset + bytes + page_size_ - 1) / page_size_);
+    for (FrameId i = 0; i < pages; ++i) {
+      vm_->pm().Wire(first + i);
     }
-    Pte pte;
-    const bool mapped = LookupPte(p, &pte);
-    GENIE_CHECK(mapped);
-    // Collect the run of physically contiguous pages already mapped with
-    // sufficient access; pages that still need a fault close the run.
-    FrameId count = 1;
-    p += page_size_;
-    while (p < end) {
-      Pte npte;
-      if (!LookupPte(p, &npte) || npte.frame != pte.frame + count ||
-          !(for_write ? CanWrite(npte.prot) : CanRead(npte.prot))) {
-        break;
-      }
-      ++count;
-      p += page_size_;
-    }
-    if (count > 1) {
-      ++counters_.coalesced_runs;
-      counters_.coalesced_pages += count - 1;
-    }
-    for (FrameId i = 0; i < count; ++i) {
-      vm_->pm().Wire(pte.frame + i);
-    }
-  }
-  return AccessResult::kOk;
+  };
+  return for_write ? WalkRuns<true>(va, len, wire) : WalkRuns<false>(va, len, wire);
 }
 
 void AddressSpace::UnwireRange(Vaddr va, std::uint64_t len) {

@@ -102,10 +102,10 @@ class AddressSpace {
   AccessResult Read(Vaddr va, std::span<std::byte> out);
   AccessResult Write(Vaddr va, std::span<const std::byte> in);
 
-  // MMU-checked scatter read: resolves [va, va+len) page by page (faulting
-  // as needed, coalescing physically contiguous runs) and hands each
-  // resolved chunk to `sink` in address order. The single-pass integrated
-  // data paths (copyin with checksum) are built on this.
+  // MMU-checked scatter read: hands each physically contiguous run of
+  // [va, va+len) to `sink` in address order, faulting pages in as Read
+  // does. The single-pass integrated data paths (copyin with checksum) are
+  // built on this.
   AccessResult ReadScatter(Vaddr va, std::uint64_t len,
                            const std::function<void(std::span<const std::byte>)>& sink);
 
@@ -192,6 +192,18 @@ class AddressSpace {
   bool LookupPte(Vaddr base, Pte* out);
   void TlbInvalidate(Vaddr base);
   void TlbFill(Vaddr base, Pte pte);
+
+  // The MMU walk under Read, Write, ReadScatter and WireRange: resolves
+  // [va, va+len) in address order for read (or, with kWrite, write) access
+  // and calls fn(first_frame, offset, bytes) once per run of physically
+  // contiguous pages mapped with that access; `offset` is the run's byte
+  // offset in its first frame. Each run starts with a TLB lookup, faults the
+  // page in only when it lacks the access and looks it up once more, then
+  // extends over following pages whose frames continue the run. Returns
+  // kUnrecoverableFault at the first page that cannot be faulted in, after
+  // fn has seen every run before it.
+  template <bool kWrite, typename Fn>
+  AccessResult WalkRuns(Vaddr va, std::uint64_t len, Fn&& fn);
 
   AccessResult HandleFault(Vaddr va, bool for_write);
   // Emits `event` as a trace instant on the "<name>.vm" track, prefixed

@@ -51,9 +51,9 @@ struct Rig {
                GenieOptions options = GenieOptions{},
                MachineProfile profile = MachineProfile::MicronP166(),
                std::size_t mem_frames = 512)
-      : sender(engine, "tx",
-               Node::Config{profile, mem_frames, InputBuffering::kEarlyDemux, 64, true}),
-        receiver(engine, "rx", Node::Config{profile, mem_frames, rx, 64, true}),
+      : sender(engine, "tx", Node::Config{.profile = profile, .mem_frames = mem_frames}),
+        receiver(engine, "rx",
+                 Node::Config{.profile = profile, .mem_frames = mem_frames, .rx_buffering = rx}),
         network(engine, sender, receiver),
         tx_ep(sender, 1, options),
         rx_ep(receiver, 1, options),

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/net/iovec_io.h"
+
 namespace genie {
 namespace {
 
@@ -289,6 +291,31 @@ TEST(InternetChecksumTest, IoVecMatchesLinear) {
   // Prefix checksum over a sub-range also matches.
   EXPECT_EQ(ChecksumOfIoVec(pm, iov, 1000),
             ChecksumOf(std::span<const std::byte>(linear).subspan(0, 1000)));
+  // A prefix that ends mid-segment past the boundary.
+  EXPECT_EQ(ChecksumOfIoVec(pm, iov, 5000),
+            ChecksumOf(std::span<const std::byte>(linear).subspan(0, 5000)));
+
+  // Gather and scatter from mid-segment across the segment boundary.
+  std::vector<std::byte> got(2000);
+  ReadFromIoVec(pm, iov, 3000, got);
+  EXPECT_EQ(std::memcmp(got.data(), linear.data() + 3000, got.size()), 0);
+  std::vector<std::byte> patch(2000);
+  for (std::size_t i = 0; i < patch.size(); ++i) {
+    patch[i] = static_cast<std::byte>((i * 13 + 5) & 0xFF);
+  }
+  EXPECT_EQ(WriteToIoVec(pm, iov, 3000, patch), patch.size());
+  std::copy(patch.begin(), patch.end(), linear.begin() + 3000);
+  std::vector<std::byte> all(linear.size());
+  ReadFromIoVec(pm, iov, 0, all);
+  EXPECT_EQ(all, linear);
+  EXPECT_EQ(ChecksumOfIoVec(pm, iov, 6000), ChecksumOf(linear));
+
+  // A write past the end is clipped at the iovec end.
+  EXPECT_EQ(WriteToIoVec(pm, iov, 5000, patch), 1000u);
+  std::copy(patch.begin(), patch.begin() + 1000, linear.begin() + 5000);
+  ReadFromIoVec(pm, iov, 0, all);
+  EXPECT_EQ(all, linear);
+  EXPECT_EQ(WriteToIoVec(pm, iov, 6000, patch), 0u);
   pm.Free(a);
   pm.Free(b);
 }

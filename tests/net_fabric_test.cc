@@ -109,7 +109,7 @@ struct FabricRig {
     for (std::size_t i = 0; i < kNodes; ++i) {
       nodes.push_back(std::make_unique<Node>(
           engine, "n" + std::to_string(i),
-          Node::Config{MachineProfile::MicronP166(), 512, rx, 64, true}));
+          Node::Config{.mem_frames = 512, .rx_buffering = rx}));
       fabric.Attach(nodes[i]->adapter(), static_cast<int>(i % 2));
       apps.push_back(&nodes[i]->CreateProcess("app"));
     }

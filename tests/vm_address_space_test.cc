@@ -97,6 +97,84 @@ TEST_F(AddressSpaceTest, AccessSpanningRegionEndFaults) {
   EXPECT_EQ(as_.Write(kBase + kPage / 2, buf), AccessResult::kUnrecoverableFault);
 }
 
+// --- The MMU walk: runs, lookups and partial faults ---
+
+// Read, Write and ReadScatter over [kBase+100, kBase+4 pages-100): a partial
+// first and last page, and a physical run that breaks after page 1 because a
+// frame is taken between the faults of pages 1 and 2.
+TEST_F(AddressSpaceTest, WalkCoalescesPhysicalRunsAndCountsLookups) {
+  as_.CreateRegion(kBase, 4 * kPage);
+  ASSERT_EQ(as_.Write(kBase, Pattern(2 * kPage, 9)), AccessResult::kOk);  // Pages 0 and 1.
+  const FrameId taken = vm_.pm().Allocate();
+  const Vaddr va = kBase + 100;
+  const auto data = Pattern(4 * kPage - 200, 3);
+
+  // Pages 0-1 are one warm run; pages 2 and 3 each miss, fault in and close
+  // their run, because the page after them is still unmapped.
+  AddressSpace::Counters before = as_.counters();
+  ASSERT_EQ(as_.Write(va, data), AccessResult::kOk);
+  EXPECT_EQ(as_.counters().coalesced_runs - before.coalesced_runs, 1u);
+  EXPECT_EQ(as_.counters().coalesced_pages - before.coalesced_pages, 1u);
+  EXPECT_EQ(as_.counters().tlb_hits - before.tlb_hits, 4u);
+  EXPECT_EQ(as_.counters().tlb_misses - before.tlb_misses, 6u);
+  EXPECT_EQ(as_.counters().faults - before.faults, 2u);
+
+  // Warm: two runs of two pages, one lookup per page plus the one that
+  // breaks the first run.
+  before = as_.counters();
+  std::vector<std::byte> out(data.size());
+  ASSERT_EQ(as_.Read(va, out), AccessResult::kOk);
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(as_.counters().coalesced_runs - before.coalesced_runs, 2u);
+  EXPECT_EQ(as_.counters().coalesced_pages - before.coalesced_pages, 2u);
+  EXPECT_EQ(as_.counters().tlb_hits - before.tlb_hits, 5u);
+  EXPECT_EQ(as_.counters().tlb_misses - before.tlb_misses, 0u);
+
+  before = as_.counters();
+  std::vector<std::byte> gathered;
+  std::vector<std::size_t> runs;
+  ASSERT_EQ(as_.ReadScatter(va, data.size(),
+                            [&](std::span<const std::byte> run) {
+                              gathered.insert(gathered.end(), run.begin(), run.end());
+                              runs.push_back(run.size());
+                            }),
+            AccessResult::kOk);
+  EXPECT_EQ(gathered, data);
+  EXPECT_EQ(runs, (std::vector<std::size_t>{2 * kPage - 100, 2 * kPage - 100}));
+  EXPECT_EQ(as_.counters().coalesced_runs - before.coalesced_runs, 2u);
+  EXPECT_EQ(as_.counters().coalesced_pages - before.coalesced_pages, 2u);
+  EXPECT_EQ(as_.counters().tlb_hits - before.tlb_hits, 5u);
+  EXPECT_EQ(as_.counters().tlb_misses - before.tlb_misses, 0u);
+
+  // The layout the counts depend on (FindPte drops TLB entries, so last).
+  const FrameId f0 = as_.FindPte(kBase)->frame;
+  const FrameId f2 = as_.FindPte(kBase + 2 * kPage)->frame;
+  EXPECT_EQ(as_.FindPte(kBase + kPage)->frame, f0 + 1);
+  EXPECT_NE(f2, f0 + 2);
+  EXPECT_EQ(as_.FindPte(kBase + 3 * kPage)->frame, f2 + 1);
+  vm_.pm().Free(taken);
+}
+
+// A walk that reaches a page outside any region fails there, after moving
+// every byte before it.
+TEST_F(AddressSpaceTest, WalkStopsAtUnmappedPageWithPrefixMoved) {
+  as_.CreateRegion(kBase, 2 * kPage);  // kBase + 2 pages is unmapped.
+  const Vaddr va = kBase + 100;
+  const std::size_t prefix = 2 * kPage - 100;
+  const auto data = Pattern(3 * kPage, 5);
+  EXPECT_EQ(as_.Write(va, data), AccessResult::kUnrecoverableFault);
+  std::vector<std::byte> out(prefix);
+  ASSERT_EQ(as_.Read(va, out), AccessResult::kOk);
+  EXPECT_EQ(std::memcmp(out.data(), data.data(), prefix), 0);
+
+  std::size_t delivered = 0;
+  EXPECT_EQ(as_.ReadScatter(va, data.size(),
+                            [&](std::span<const std::byte> run) { delivered += run.size(); }),
+            AccessResult::kUnrecoverableFault);
+  EXPECT_EQ(delivered, prefix);
+  EXPECT_EQ(as_.counters().unrecoverable_faults, 2u);
+}
+
 TEST_F(AddressSpaceTest, LazyAllocationOnlyTouchedPages) {
   as_.CreateRegion(kBase, 8 * kPage);
   const std::size_t before = vm_.pm().free_frames();
