@@ -1101,29 +1101,21 @@ bool Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
   bool ok = true;
 
   switch (pi.sem) {
-    case Semantics::kCopy: {
-      const DisposePlan plan = DisposeCopyOutIntoApp(app, pi.va, n, pi.sysbuf.iov);
-      stats_.bytes_copied += plan.copied_bytes;
-      ch.Add(OpKind::kCopyout, n);
-      FreeSysBuffer(pm, pi.sysbuf);
-      result.addr = pi.va;
-      ok = plan.ok;
-      break;
-    }
+    case Semantics::kCopy:
     case Semantics::kEmulatedCopy: {
-      if (!pi.has_sysbuf) {
-        // Outboard (Section 6.2.3): no aligned buffer, no swap. The data was
-        // DMAed straight into the referenced application pages.
-        Unreference(app.vm(), pi.ref);
-        ch.Add(OpKind::kUnreference, n);
-      } else if (pi.sysbuf.page_offset == pi.va % pm.page_size()) {
-        const DisposePlan plan = DisposeAligned(pi, pi.va, n, pi.sysbuf, /*to_pool=*/false, ch);
-        ok = plan.ok;
-      } else {
+      if (CopiesOut(pi)) {
         const DisposePlan plan = DisposeCopyOutIntoApp(app, pi.va, n, pi.sysbuf.iov);
         stats_.bytes_copied += plan.copied_bytes;
         ch.Add(OpKind::kCopyout, n);
         ok = plan.ok;
+      } else if (pi.has_sysbuf) {
+        const DisposePlan plan = DisposeAligned(pi, pi.va, n, pi.sysbuf, /*to_pool=*/false, ch);
+        ok = plan.ok;
+      } else {
+        // Outboard (Section 6.2.3): no aligned buffer, no swap. The data was
+        // DMAed straight into the referenced application pages.
+        Unreference(app.vm(), pi.ref);
+        ch.Add(OpKind::kUnreference, n);
       }
       FreeSysBuffer(pm, pi.sysbuf);
       result.addr = pi.va;
@@ -1242,27 +1234,17 @@ bool Endpoint::DisposeInputTable4(PendingInput& pi, SysBuffer& overlay, std::uin
   };
 
   switch (pi.sem) {
-    case Semantics::kCopy: {
-      const DisposePlan plan = DisposeCopyOutIntoApp(app, pi.va, n, overlay.iov);
-      stats_.bytes_copied += plan.copied_bytes;
-      ch.Add(OpKind::kCopyout, n);
-      release_overlay_to_pool();
-      ch.Add(OpKind::kOverlayDeallocate, n);
-      result.addr = pi.va;
-      ok = plan.ok;
-      break;
-    }
+    case Semantics::kCopy:
     case Semantics::kEmulatedCopy:
     case Semantics::kShare:
     case Semantics::kEmulatedShare: {
-      const bool aligned = pi.va % psz == 0;
-      if (aligned) {
-        ok = DisposeAligned(pi, pi.va, n, overlay, /*to_pool=*/true, ch).ok;
-      } else {
+      if (CopiesOut(pi)) {
         const DisposePlan plan = DisposeCopyOutIntoApp(app, pi.va, n, overlay.iov);
         stats_.bytes_copied += plan.copied_bytes;
         ch.Add(OpKind::kCopyout, n);
         ok = plan.ok;
+      } else {
+        ok = DisposeAligned(pi, pi.va, n, overlay, /*to_pool=*/true, ch).ok;
       }
       release_overlay_to_pool();
       ch.Add(OpKind::kOverlayDeallocate, n);
@@ -1462,18 +1444,32 @@ Endpoint::ChecksumVerdict Endpoint::VerifyChecksum(PendingInput& pi, const RxCom
     const IoVec& landed = pi.mode == InputBuffering::kPooled ? overlay.iov : pi.target;
     computed = ChecksumOfIoVec(pi.app->vm().pm(), landed, n);
     // Integration with the final copy is only possible on copy-out dispose
-    // paths (copy semantics, or emulated copy without alignment); swap and
-    // in-place paths always use a separate read pass (paper Section 9: with
-    // a system buffer involved, passing by VM manipulation and then reading
-    // the data costs less than a one-step checksum-and-copy).
-    integrable = pi.sem == Semantics::kCopy ||
-                 (pi.sem == Semantics::kEmulatedCopy && pi.has_sysbuf &&
-                  pi.sysbuf.page_offset != pi.va % pi.app->vm().page_size());
+    // paths; swap and in-place paths always use a separate read pass (paper
+    // Section 9: with a system buffer involved, passing by VM manipulation
+    // and then reading the data costs less than a one-step
+    // checksum-and-copy).
+    integrable = CopiesOut(pi);
   }
   verdict.verified_ok = computed == static_cast<std::uint16_t>(frame.header);
   verdict.integrated = options_.checksum_mode == ChecksumMode::kIntegrated && integrable;
   ch.Add(verdict.integrated ? OpKind::kChecksumIntegrated : OpKind::kChecksumRead, n);
   return verdict;
+}
+
+bool Endpoint::CopiesOut(const PendingInput& pi) const {
+  const std::uint32_t offset = pi.va % pi.app->vm().page_size();
+  const bool pooled = pi.mode == InputBuffering::kPooled;
+  switch (pi.sem) {
+    case Semantics::kCopy:
+      return true;
+    case Semantics::kEmulatedCopy:
+      return pooled ? offset != 0 : pi.has_sysbuf && pi.sysbuf.page_offset != offset;
+    case Semantics::kShare:
+    case Semantics::kEmulatedShare:
+      return pooled && offset != 0;
+    default:
+      return false;
+  }
 }
 
 // --- Input dispose, every buffering architecture ---
@@ -1482,6 +1478,7 @@ SysBuffer Endpoint::OverlayBuffer(std::vector<FrameId> pages, std::uint64_t byte
   SysBuffer overlay;
   overlay.frames = std::move(pages);
   overlay.length = bytes;
+  overlay.iov.segments.reserve(overlay.frames.size());
   std::uint64_t remaining = bytes;
   for (const FrameId f : overlay.frames) {
     const std::uint32_t seg = static_cast<std::uint32_t>(

@@ -330,6 +330,11 @@ class Endpoint {
   };
   ChecksumVerdict VerifyChecksum(PendingInput& pi, const RxCompletion& frame,
                                  const SysBuffer& overlay, std::uint64_t n, Charges& ch);
+  // True when the dispose copies the input's bytes out of a system or
+  // overlay buffer into the application buffer (Tables 3 and 4) rather than
+  // swapping pages or finding the data in place. A checksum integrates only
+  // with such a copy; outboard inputs integrate with their DMA instead.
+  bool CopiesOut(const PendingInput& pi) const;
 
   // Functional halves (bookkeeping + data movement), recording the costs to
   // charge; the coroutines charge them while holding the CPU.

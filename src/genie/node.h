@@ -182,7 +182,7 @@ class Node {
   Resource cpu_;
   Adapter adapter_;
   // unique_ptr so the header needs only the declaration order above; the
-  // layer registers itself as the adapter's ack handler at construction.
+  // layer registers itself as the adapter's cell handler at construction.
   std::unique_ptr<ReliableDelivery> reliable_;
   PageoutDaemon pageout_;
   std::vector<std::unique_ptr<AddressSpace>> processes_;

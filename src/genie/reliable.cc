@@ -12,15 +12,20 @@ ReliableDelivery::ReliableDelivery(Engine& engine, Adapter& adapter, std::string
       adapter_(&adapter),
       xfer_track_(std::move(xfer_track)),
       timers_(engine) {
-  adapter_->set_ack_handler(
-      [this](std::uint64_t channel, std::uint64_t seq, bool ok) { OnAck(channel, seq, ok); });
-  adapter_->set_sack_handler(
-      [this](std::uint64_t channel, std::vector<SackCell> cells) { OnSack(channel, cells); });
-  adapter_->set_fence_handler([this](std::uint64_t channel, std::uint32_t peer_epoch) {
-    OnFence(channel, peer_epoch);
-  });
-  adapter_->set_resync_ack_handler([this](std::uint64_t channel, std::uint32_t peer_epoch) {
-    OnResyncAck(channel, peer_epoch);
+  adapter_->set_cell_handler([this](const ControlCell& cell) {
+    switch (cell.kind) {
+      case ControlCell::Kind::kAck:
+      case ControlCell::Kind::kNack:
+        return OnAck(cell.channel, cell.seq, cell.kind == ControlCell::Kind::kAck);
+      case ControlCell::Kind::kSack:
+        return OnSack(cell.channel, cell.sack);
+      case ControlCell::Kind::kFence:
+        return OnFence(cell.channel, cell.epoch);
+      case ControlCell::Kind::kResyncAck:
+        return OnResyncAck(cell.channel, cell.epoch);
+      default:
+        return;  // The adapter consumes credits and resyncs itself.
+    }
   });
 }
 
@@ -56,19 +61,12 @@ void ReliableDelivery::OnAck(std::uint64_t channel, std::uint64_t seq, bool ok) 
   }
   // Per-sequence cells carry nacks (CRC failures, dropped frames) and re-acks
   // of suppressed duplicates; SACK trains carry the normal acknowledgement
-  // traffic (OnSack).
+  // traffic (OnSack). An ack still overrides a give-up its owner has not
+  // consumed yet (ResolveAcked).
   WindowEntry* entry = FindEntry(channel, seq);
-  if (entry != nullptr && ok && entry->result == WindowEntry::kGiveUp) {
-    // The ack landed in the same instant as the give-up verdict, before
-    // the owning coroutine consumed it: the frame WAS delivered, so the
-    // ack wins and the transfer completes (counted once, as delivered).
-    entry->result = WindowEntry::kAcked;
-    if (entry->token != nullptr) {
-      entry->token->resolved = true;
-    }
-    return;
-  }
-  if (entry == nullptr || entry->result != WindowEntry::kPending) {
+  const bool live = entry != nullptr && (entry->result == WindowEntry::kPending ||
+                                         (ok && entry->result == WindowEntry::kGiveUp));
+  if (!live) {
     ++stats_.stale_acks;
     return;
   }
@@ -91,6 +89,18 @@ ReliableDelivery::WindowEntry* ReliableDelivery::FindEntry(std::uint64_t channel
 }
 
 void ReliableDelivery::ResolveAcked(WindowEntry& entry) {
+  // An ack that lands in the same instant as the give-up verdict, before the
+  // owning coroutine consumed it, wins: the frame WAS delivered, so the
+  // transfer completes (counted once, as delivered). Its owner is already
+  // woken; only the verdict changes.
+  const bool overrides_give_up = entry.result == WindowEntry::kGiveUp;
+  entry.result = WindowEntry::kAcked;
+  if (entry.token != nullptr) {
+    entry.token->resolved = true;
+  }
+  if (overrides_give_up) {
+    return;
+  }
   timers_.Cancel(entry.timer);
   const SimTime now = engine_->now();
   if (trace_ != nullptr && entry.last_tx_end > 0 && now > entry.last_tx_end) {
@@ -105,10 +115,6 @@ void ReliableDelivery::ResolveAcked(WindowEntry& entry) {
     // last_tx_end == 0 means the ack beat the first transmit's completion
     // (delayed-completion fault on our side): zero observable rtt.
     ack_rtt_->Add(entry.last_tx_end > 0 ? SimTimeToMicros(now - entry.last_tx_end) : 0.0);
-  }
-  entry.result = WindowEntry::kAcked;
-  if (entry.token != nullptr) {
-    entry.token->resolved = true;
   }
   entry.done.Set();
 }
@@ -140,17 +146,6 @@ void ReliableDelivery::OnSack(std::uint64_t channel, const std::vector<SackCell>
       continue;
     }
     resolved_any = true;
-    if (entry->result == WindowEntry::kGiveUp) {
-      // The SACK landed in the same instant as the give-up verdict, before
-      // the owning coroutine consumed it: the frame WAS delivered, so the
-      // ack wins and the transfer completes (counted once, as delivered).
-      ++stats_.acks;
-      entry->result = WindowEntry::kAcked;
-      if (entry->token != nullptr) {
-        entry->token->resolved = true;
-      }
-      continue;
-    }
     ++stats_.acks;
     ResolveAcked(*entry);
   }
@@ -193,7 +188,7 @@ void ReliableDelivery::RetransmitOrGiveUp(std::uint64_t channel, std::uint64_t s
   if (e->attempts > options_.max_retransmits) {
     // The give-up is counted (and traced) by the owning coroutine when it
     // consumes the verdict: an ack landing in this same instant may still
-    // override the result to kAcked (OnAck/OnSack), and that path must
+    // override the result to kAcked (ResolveAcked), and that path must
     // count one delivery — not a give-up AND a delivery.
     e->result = WindowEntry::kGiveUp;
     e->done.Set();
@@ -385,7 +380,7 @@ Task<ReliableDelivery::TxReport> ReliableDelivery::TransmitReliably(
   switch (e->result) {
     case WindowEntry::kAcked:
       // Counted here — not in ResolveAcked — so an ack that lands after the
-      // give-up verdict and overrides it (OnAck/OnSack) still counts exactly
+      // give-up verdict and overrides it (ResolveAcked) still counts exactly
       // one delivery.
       report.outcome = TxOutcome::kDelivered;
       ++stats_.delivered_frames;

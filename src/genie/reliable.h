@@ -276,6 +276,8 @@ class ReliableDelivery {
   // Batched SACK train from the peer: resolves every covered in-flight entry.
   void OnSack(std::uint64_t channel, const std::vector<SackCell>& cells);
   WindowEntry* FindEntry(std::uint64_t channel, std::uint64_t seq);
+  // Resolves a pending entry as acked; an ack also overrides a give-up
+  // verdict its owner has not consumed yet.
   void ResolveAcked(WindowEntry& entry);
   // Timeout/nack escalation: emits the attempt's ack_wait span, then either
   // gives up (retries exhausted) or launches a detached retransmission.

@@ -358,47 +358,85 @@ Task<void> Adapter::FlushHeldFrames() {
   }
 }
 
-void Adapter::SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow) {
+bool Adapter::SendCell(ControlCell::Kind kind, std::uint64_t channel, std::uint64_t seq) {
   Adapter* const peer = ControlPeer(channel);
   if (peer == nullptr) {
-    return;  // Unidirectional test wiring: no control-cell return path.
+    return false;  // Unidirectional test wiring: no control-cell return path.
   }
-  if (ok) {
-    ++acks_sent_;
-  } else {
-    ++nacks_sent_;
+  // Field by field: a designated initializer without `sack` warns (-Wextra).
+  ControlCell cell;
+  cell.kind = kind;
+  cell.epoch = self_epoch_;
+  cell.channel = channel;
+  cell.seq = seq;
+  engine_.ScheduleAfter(kCreditLatency, [peer, cell = std::move(cell)] { peer->OnCell(cell); });
+  return true;
+}
+
+void Adapter::OnCell(const ControlCell& cell) {
+  if (crashed_) {
+    // The device that would act on the cell is dead; a lost credit
+    // reinitializes from the peer's posted buffers after restart.
+    ++crash_cell_drops_;
+    return;
   }
+  switch (cell.kind) {
+    case ControlCell::Kind::kAck:
+    case ControlCell::Kind::kNack:
+    case ControlCell::Kind::kSack:
+      if (auto floor = peer_epoch_floor_.find(cell.channel);
+          floor != peer_epoch_floor_.end() && cell.epoch < floor->second) {
+        // A dead incarnation must not ack its successor's sequence space.
+        ++stale_epoch_cell_drops_;
+        return;
+      }
+      break;
+    case ControlCell::Kind::kCredit: {
+      auto& waiters = credit_waiters_[cell.channel];
+      if (waiters.empty()) {
+        ++tx_credits_[cell.channel];
+      } else {
+        // Hand the credit straight to the oldest blocked transmission.
+        engine_.ResumeAfter(0, waiters.front().handle);
+        waiters.pop_front();
+      }
+      return;
+    }
+    case ControlCell::Kind::kResync: {
+      // Reinitialize the channel's dedup window at the sender's high-water
+      // mark: every sequence at or below it belongs to completed or abandoned
+      // transfers, so only genuinely new frames are accepted after the bump.
+      RxDedup& dedup = rx_dedup_[cell.channel];
+      dedup.max_seq = std::max(dedup.max_seq, cell.seq);
+      dedup.cum = std::max(dedup.cum, cell.seq);
+      dedup.seen.erase(dedup.seen.begin(), dedup.seen.upper_bound(dedup.cum));
+      dedup.src_epoch = std::max(dedup.src_epoch, cell.epoch);
+      NotePeerEpoch(cell.channel, cell.epoch);
+      if (trace_ != nullptr) {
+        trace_->Instant(name_ + ".wire", "resync_accept hw " + std::to_string(cell.seq), "net",
+                        engine_.now());
+      }
+      SendCell(ControlCell::Kind::kResyncAck, cell.channel);
+      return;
+    }
+    case ControlCell::Kind::kFence:
+    case ControlCell::Kind::kResyncAck:
+      break;
+  }
+  if (cell_handler_) {
+    cell_handler_(cell);
+  }
+}
+
+void Adapter::SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow) {
+  if (!SendCell(ok ? ControlCell::Kind::kAck : ControlCell::Kind::kNack, channel, seq)) {
+    return;
+  }
+  ++(ok ? acks_sent_ : nacks_sent_);
   if (trace_ != nullptr) {
     trace_->Instant(name_ + ".wire", std::string(ok ? "ack" : "nack") + " seq " +
                         std::to_string(seq), "net", engine_.now(), flow);
   }
-  // Acks ride the (lossless) control-cell path, like credits.
-  engine_.ScheduleAfter(kCreditLatency, [peer, channel, seq, ok, e = self_epoch_] {
-    peer->OnAckCell(channel, seq, ok, e);
-  });
-}
-
-void Adapter::OnAckCell(std::uint64_t channel, std::uint64_t seq, bool ok,
-                        std::uint32_t acker_epoch) {
-  if (crashed_) {
-    ++crash_cell_drops_;
-    return;
-  }
-  if (StaleCellEpoch(channel, acker_epoch)) {
-    ++stale_epoch_cell_drops_;
-    return;
-  }
-  if (ack_handler_) {
-    ack_handler_(channel, seq, ok);
-  }
-}
-
-bool Adapter::StaleCellEpoch(std::uint64_t channel, std::uint32_t cell_epoch) const {
-  if (cell_epoch == 0) {
-    return false;  // unfenced legacy cell
-  }
-  auto it = peer_epoch_floor_.find(channel);
-  return it != peer_epoch_floor_.end() && cell_epoch < it->second;
 }
 
 void Adapter::NotePeerEpoch(std::uint64_t channel, std::uint32_t epoch) {
@@ -407,8 +445,7 @@ void Adapter::NotePeerEpoch(std::uint64_t channel, std::uint32_t epoch) {
 }
 
 void Adapter::SendEpochFence(std::uint64_t channel, std::uint64_t flow) {
-  Adapter* const peer = ControlPeer(channel);
-  if (peer == nullptr) {
+  if (!SendCell(ControlCell::Kind::kFence, channel)) {
     return;
   }
   ++fences_sent_;
@@ -416,23 +453,10 @@ void Adapter::SendEpochFence(std::uint64_t channel, std::uint64_t flow) {
     trace_->Instant(name_ + ".wire", "epoch_fence e" + std::to_string(self_epoch_), "net",
                     engine_.now(), flow);
   }
-  engine_.ScheduleAfter(kCreditLatency,
-                        [peer, channel, e = self_epoch_] { peer->OnFenceCell(channel, e); });
-}
-
-void Adapter::OnFenceCell(std::uint64_t channel, std::uint32_t peer_epoch) {
-  if (crashed_) {
-    ++crash_cell_drops_;
-    return;
-  }
-  if (fence_handler_) {
-    fence_handler_(channel, peer_epoch);
-  }
 }
 
 void Adapter::SendResync(std::uint64_t channel, std::uint64_t seq_hw) {
-  Adapter* const peer = ControlPeer(channel);
-  if (peer == nullptr) {
+  if (!SendCell(ControlCell::Kind::kResync, channel, seq_hw)) {
     return;
   }
   ++resyncs_sent_;
@@ -440,49 +464,6 @@ void Adapter::SendResync(std::uint64_t channel, std::uint64_t seq_hw) {
     trace_->Instant(name_ + ".wire",
                     "resync hw " + std::to_string(seq_hw) + " e" + std::to_string(self_epoch_),
                     "net", engine_.now());
-  }
-  engine_.ScheduleAfter(kCreditLatency, [peer, channel, seq_hw, e = self_epoch_] {
-    peer->OnResyncCell(channel, e, seq_hw);
-  });
-}
-
-void Adapter::OnResyncCell(std::uint64_t channel, std::uint32_t peer_epoch,
-                           std::uint64_t seq_hw) {
-  if (crashed_) {
-    ++crash_cell_drops_;
-    return;
-  }
-  // Reinitialize the channel's dedup window at the sender's high-water mark:
-  // every sequence at or below it belongs to completed or abandoned
-  // transfers, so only genuinely new frames are accepted after the bump.
-  RxDedup& dedup = rx_dedup_[channel];
-  dedup.max_seq = std::max(dedup.max_seq, seq_hw);
-  dedup.cum = std::max(dedup.cum, seq_hw);
-  while (!dedup.seen.empty() && *dedup.seen.begin() <= dedup.cum) {
-    dedup.seen.erase(dedup.seen.begin());
-  }
-  dedup.src_epoch = std::max(dedup.src_epoch, peer_epoch);
-  NotePeerEpoch(channel, peer_epoch);
-  if (trace_ != nullptr) {
-    trace_->Instant(name_ + ".wire", "resync_accept hw " + std::to_string(seq_hw), "net",
-                    engine_.now());
-  }
-  Adapter* const peer = ControlPeer(channel);
-  if (peer == nullptr) {
-    return;
-  }
-  engine_.ScheduleAfter(kCreditLatency, [peer, channel, e = self_epoch_] {
-    peer->OnResyncAckCell(channel, e);
-  });
-}
-
-void Adapter::OnResyncAckCell(std::uint64_t channel, std::uint32_t peer_epoch) {
-  if (crashed_) {
-    ++crash_cell_drops_;
-    return;
-  }
-  if (resync_ack_handler_) {
-    resync_ack_handler_(channel, peer_epoch);
   }
 }
 
@@ -514,33 +495,24 @@ void Adapter::FlushSack(std::uint64_t channel) {
   if (it == rx_dedup_.end()) {
     return;
   }
-  std::vector<SackCell> cells = EncodeSack(it->second.cum, it->second.seen);
+  // The train leaves now, when the armed flush fires: its latency was the
+  // accumulation window, so it skips SendCell's second one.
+  ControlCell train;
+  train.kind = ControlCell::Kind::kSack;
+  train.epoch = self_epoch_;
+  train.channel = channel;
+  train.sack = EncodeSack(it->second.cum, it->second.seen);
   ++sack_flushes_;
-  sack_cells_sent_ += cells.size();
-  acks_sent_ += cells.size();
+  sack_cells_sent_ += train.sack.size();
+  acks_sent_ += train.sack.size();
   if (trace_ != nullptr) {
     trace_->Instant(name_ + ".wire",
                     "sack cum " + std::to_string(it->second.cum) + " +" +
                         std::to_string(it->second.seen.size()) + " cells " +
-                        std::to_string(cells.size()),
+                        std::to_string(train.sack.size()),
                     "net", engine_.now());
   }
-  peer->OnSackCells(channel, std::move(cells), self_epoch_);
-}
-
-void Adapter::OnSackCells(std::uint64_t channel, std::vector<SackCell> cells,
-                          std::uint32_t acker_epoch) {
-  if (crashed_) {
-    ++crash_cell_drops_;
-    return;
-  }
-  if (StaleCellEpoch(channel, acker_epoch)) {
-    ++stale_epoch_cell_drops_;
-    return;
-  }
-  if (sack_handler_) {
-    sack_handler_(channel, std::move(cells));
-  }
+  peer->OnCell(train);
 }
 
 bool Adapter::AbortCreditWait(std::uint64_t channel, const std::shared_ptr<TxControl>& ctl) {
@@ -563,29 +535,9 @@ bool Adapter::AbortCreditWait(std::uint64_t channel, const std::shared_ptr<TxCon
 void Adapter::PostReceive(std::uint64_t channel, PostedReceive posted) {
   GENIE_CHECK(!crashed_) << "PostReceive on crashed adapter " << name_;
   posted_[channel].push_back(std::move(posted));
-  Adapter* const peer = ControlPeer(channel);
-  if (config_.flow_control && peer != nullptr) {
-    // Return a credit to the sender after the control-cell latency.
-    engine_.ScheduleAfter(kCreditLatency, [peer, channel] { peer->GrantCredit(channel); });
+  if (config_.flow_control) {
+    SendCell(ControlCell::Kind::kCredit, channel);  // One credit back to the sender.
   }
-}
-
-void Adapter::GrantCredit(std::uint64_t channel) {
-  if (crashed_) {
-    // The device that would bank or spend this credit is dead; its credit
-    // state reinitializes from the peer's posted buffers after restart.
-    ++crash_cell_drops_;
-    return;
-  }
-  auto& waiters = credit_waiters_[channel];
-  if (!waiters.empty()) {
-    // Hand the credit straight to the oldest blocked transmission.
-    const std::coroutine_handle<> h = waiters.front().handle;
-    waiters.pop_front();
-    engine_.ResumeAfter(0, h);
-    return;
-  }
-  ++tx_credits_[channel];
 }
 
 std::size_t Adapter::posted_receives(std::uint64_t channel) const {
@@ -673,6 +625,9 @@ void Adapter::BeginRxFrame(std::uint64_t channel, std::uint32_t header, std::uin
   } else if (config_.rx_buffering == InputBuffering::kOutboard) {
     // Stage the frame in one allocation instead of growing it chunk by chunk.
     rx_->outboard.reserve(wire_bytes);
+  } else {
+    // Pooled: one overlay page per page of the frame, listed in one allocation.
+    rx_->overlay_pages.reserve((wire_bytes + pm_.page_size() - 1) / pm_.page_size());
   }
 }
 

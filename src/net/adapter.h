@@ -100,6 +100,20 @@ struct TxControl {
   std::uint32_t dst_epoch = 0;
 };
 
+// One cell on the adapter's lossless control path back to a channel's
+// sender: the Credit Net credit cell (paper refs [2], [14]), which also
+// carries the reliable layer's acks, nacks, SACK trains, epoch fences,
+// resyncs and resync-acks. Every cell is stamped with the sending adapter's
+// incarnation epoch.
+struct ControlCell {
+  enum class Kind : std::uint8_t { kCredit, kAck, kNack, kSack, kFence, kResync, kResyncAck };
+  Kind kind = Kind::kCredit;
+  std::uint32_t epoch = 0;
+  std::uint64_t channel = 0;
+  std::uint64_t seq = 0;       // ack/nack: the frame; resync: the sequence high-water mark
+  std::vector<SackCell> sack;  // SACK trains only
+};
+
 class Adapter {
  public:
   struct Config {
@@ -146,8 +160,8 @@ class Adapter {
   // Installs the adapter's one wiring: `route` resolves a channel's transmit
   // path (nullptr = unrouted: a transmit aborts, and the channel has no
   // control-cell return path). The route's destination also receives the
-  // channel's acks, SACK trains, fences and credit cells. Fabric::Attach
-  // routes each channel through the switch (src/net/fabric.h).
+  // channel's control cells. Fabric::Attach routes each channel through the
+  // switch (src/net/fabric.h).
   using RouteFn = std::function<const TxPath*(std::uint64_t channel)>;
   void ConnectFabric(RouteFn route);
 
@@ -212,12 +226,13 @@ class Adapter {
   void set_fault_plan(FaultPlan* plan) { fault_plan_ = plan; }
 
   // --- Reliable layer (ARQ) hooks ---
-  // Invoked on *this* (sending) adapter when the peer nacks a sequenced
-  // frame (CRC failure, no buffer) or re-acks (ok) a suppressed duplicate,
-  // one control-cell latency after the peer's decision. Accepted frames are
-  // acknowledged by SACK trains instead (set_sack_handler).
-  void set_ack_handler(std::function<void(std::uint64_t, std::uint64_t, bool)> handler) {
-    ack_handler_ = std::move(handler);
+  // Invoked on *this* (sending) adapter with every cell it does not drop or
+  // consume (OnCell): the peer's nacks (CRC failure, no buffer), re-acks of
+  // suppressed duplicates and fences, one control-cell latency after its
+  // decision; its resync-acks; and its SACK trains, which acknowledge
+  // accepted frames when its batched flush fires.
+  void set_cell_handler(std::function<void(const ControlCell&)> handler) {
+    cell_handler_ = std::move(handler);
   }
 
   // Configures the receive side for a selective-repeat sender window of `w`
@@ -229,12 +244,6 @@ class Adapter {
   // peers of a reliable channel must be configured with the same window.
   void set_arq_window(std::uint32_t w) { arq_window_ = w == 0 ? 1 : w; }
   std::uint32_t arq_window() const { return arq_window_; }
-
-  // Invoked on *this* (sending) adapter when the peer flushes a batched
-  // SACK train for `channel`.
-  void set_sack_handler(std::function<void(std::uint64_t, std::vector<SackCell>)> handler) {
-    sack_handler_ = std::move(handler);
-  }
 
   // Aborts a transmission blocked in AcquireCredit (credit-deadlock
   // watchdog). Returns true if the waiter was found; `ctl->aborted` is set
@@ -261,25 +270,15 @@ class Adapter {
   // Clears the crashed flag; receive resumes with empty device state.
   void Restart();
 
-  // Installed on the *sending* adapter: invoked when the peer fences a
-  // frame addressed to a dead incarnation (args: channel, peer epoch).
-  void set_fence_handler(std::function<void(std::uint64_t, std::uint32_t)> handler) {
-    fence_handler_ = std::move(handler);
-  }
-  // Installed on the *sending* adapter: invoked when the peer acknowledges
-  // a sequence resync (args: channel, peer epoch).
-  void set_resync_ack_handler(std::function<void(std::uint64_t, std::uint32_t)> handler) {
-    resync_ack_handler_ = std::move(handler);
-  }
   // Sender-side resync: proposes `seq_hw` as the channel's sequence high-
   // water mark. The (restarted) receiver reinitializes its dedup window at
   // seq_hw — everything at or below it counts as belonging to the dead
   // epoch — and replies with a resync-ack.
   void SendResync(std::uint64_t channel, std::uint64_t seq_hw);
 
-  // Records the peer's learned incarnation epoch for `channel`; ack/SACK
-  // cells stamped with an older epoch are dropped (a dead incarnation must
-  // not ack its successor's sequence space).
+  // Records the peer's learned incarnation epoch for `channel`; ack, nack
+  // and SACK cells stamped with an older epoch are dropped (a dead
+  // incarnation must not ack its successor's sequence space).
   void NotePeerEpoch(std::uint64_t channel, std::uint32_t epoch);
 
   // --- Flow control ---
@@ -431,28 +430,27 @@ class Adapter {
     return route != nullptr ? route->dst : nullptr;
   }
 
-  // Schedules a per-sequence control cell back to the sending peer: a nack,
-  // or a re-ack (ok) of a suppressed duplicate. Cells are stamped with the
-  // acking node's epoch.
-  void SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow);
-  void OnAckCell(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint32_t acker_epoch);
+  // The one control-cell send: stamps a `kind` cell for `channel` with this
+  // adapter's epoch and delivers it to ControlPeer(channel) one control-cell
+  // latency out. Returns false, sending nothing, on an unrouted channel.
+  bool SendCell(ControlCell::Kind kind, std::uint64_t channel, std::uint64_t seq = 0);
+  // The one control-cell receive: drops every cell while crashed and an
+  // ack, nack or SACK train from a dead peer incarnation, consumes credits
+  // and resyncs, and hands every other cell to the cell handler.
+  void OnCell(const ControlCell& cell);
 
-  // Epoch-fence control cell: tells the sender of a stale-epoch frame what
-  // this node's live incarnation epoch is.
+  // A per-sequence cell back to the sending peer: a nack, or a re-ack (ok)
+  // of a suppressed duplicate.
+  void SendAck(std::uint64_t channel, std::uint64_t seq, bool ok, std::uint64_t flow);
+  // Epoch-fence cell: tells the sender of a stale-epoch frame what this
+  // node's live incarnation epoch is.
   void SendEpochFence(std::uint64_t channel, std::uint64_t flow);
-  void OnFenceCell(std::uint64_t channel, std::uint32_t peer_epoch);
-  void OnResyncCell(std::uint64_t channel, std::uint32_t peer_epoch, std::uint64_t seq_hw);
-  void OnResyncAckCell(std::uint64_t channel, std::uint32_t peer_epoch);
-  // True when `cell_epoch` is from a dead incarnation of the channel peer.
-  bool StaleCellEpoch(std::uint64_t channel, std::uint32_t cell_epoch) const;
 
   // Arms (at most one per channel) a batched SACK flush one control-cell
-  // latency out; the flush snapshots the dedup state then and delivers one
-  // cell train covering every frame accepted meanwhile.
+  // latency out; the flush snapshots the dedup state then and hands the
+  // peer one cell train covering every frame accepted meanwhile.
   void ScheduleSackFlush(std::uint64_t channel);
   void FlushSack(std::uint64_t channel);
-  void OnSackCells(std::uint64_t channel, std::vector<SackCell> cells,
-                   std::uint32_t acker_epoch);
 
   struct CreditWaiter {
     std::coroutine_handle<> handle;
@@ -480,8 +478,6 @@ class Adapter {
     };
     return Awaiter{*this, channel, std::move(ctl)};
   }
-  // Called (after the credit latency) when the peer posts a receive buffer.
-  void GrantCredit(std::uint64_t channel);
 
   Engine& engine_;
   PhysicalMemory& pm_;
@@ -511,10 +507,7 @@ class Adapter {
 
   std::map<std::uint64_t, RxDedup> rx_dedup_;
   std::deque<HeldFrame> held_;  // reordered frames awaiting late delivery
-  std::function<void(std::uint64_t, std::uint64_t, bool)> ack_handler_;
-  std::function<void(std::uint64_t, std::vector<SackCell>)> sack_handler_;
-  std::function<void(std::uint64_t, std::uint32_t)> fence_handler_;
-  std::function<void(std::uint64_t, std::uint32_t)> resync_ack_handler_;
+  std::function<void(const ControlCell&)> cell_handler_;
   std::uint32_t arq_window_ = 1;
   std::map<std::uint64_t, bool> sack_flush_pending_;
   std::uint32_t self_epoch_ = 1;

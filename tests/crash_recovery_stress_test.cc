@@ -16,12 +16,14 @@
 // through.
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "src/harness/workload.h"
 #include "src/mem/fault_plan.h"
 #include "src/util/units.h"
+#include "tests/soak_golden.h"
 
 namespace genie {
 namespace {
@@ -279,6 +281,18 @@ TEST(CrashRecoveryStressTest, NarrowWindowsNeverDeliverToARebootedPeer) {
           << "\n"
           << Describe(out);
     }
+  }
+}
+
+// The first 20 seeds' schedules at windows 1 and 16, folded in seed order
+// (tests/soak_golden.h): a change that moves any event of the crash soak,
+// such as a fence, resync or nack cell, fails here naming the window.
+TEST(CrashRecoveryStressTest, ScheduleGoldenAtWindows1And16) {
+  for (const auto& [window, golden] :
+       {std::pair{1u, 0x669ac5d66a951317ull}, std::pair{16u, 0x4bb7a357babc3d2aull}}) {
+    const std::uint64_t fold = FoldSoakSchedules(kFirstSeed, window, RunSoak);
+    EXPECT_EQ(fold, golden) << "crash soak schedule golden moved at window " << window
+                            << ": fold 0x" << std::hex << fold;
   }
 }
 

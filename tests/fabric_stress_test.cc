@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "src/harness/workload.h"
 #include "src/mem/fault_plan.h"
 #include "src/util/units.h"
+#include "tests/soak_golden.h"
 
 namespace genie {
 namespace {
@@ -38,7 +40,7 @@ std::uint32_t SoakWindow() {
   return window;
 }
 
-WorkloadConfig SoakConfig(std::uint64_t seed) {
+WorkloadConfig SoakConfig(std::uint64_t seed, std::uint32_t window) {
   WorkloadConfig cfg;
   cfg.seed = seed;
   cfg.nodes = 4;
@@ -49,7 +51,7 @@ WorkloadConfig SoakConfig(std::uint64_t seed) {
 
   ReliableOptions rel;
   rel.arq = true;
-  rel.window = SoakWindow();
+  rel.window = window;
   rel.seed = seed ^ 0xa5c3a5c3a5c3a5c3ULL;
   rel.watchdog_timeout = 400 * kMillisecond;
   cfg.reliable = rel;
@@ -98,10 +100,10 @@ struct SoakOutcome {
   std::vector<std::string> violations;
 };
 
-SoakOutcome RunSoak(std::uint64_t seed) {
+SoakOutcome RunSoak(std::uint64_t seed, std::uint32_t window = SoakWindow()) {
   SoakOutcome out;
   Engine engine;
-  const WorkloadConfig cfg = SoakConfig(seed);
+  const WorkloadConfig cfg = SoakConfig(seed, window);
   Workload wl(engine, cfg);
 
   // GENIE_RUN_REPORT=<prefix>: sample continuous telemetry during the soak
@@ -228,6 +230,18 @@ TEST(FabricStressTest, LossySoakDeliversExactlyOnceAcrossSeeds) {
     EXPECT_GT(total_switched, 0u);
     // With retries on top of 1% loss, failures should be essentially absent.
     EXPECT_LE(total_failed * 100, total_completed);
+  }
+}
+
+// The first 20 seeds' schedules at windows 1 and 16, folded in seed order
+// (tests/soak_golden.h): a change that moves any event of the fabric soak,
+// such as a SACK train or a nack cell, fails here naming the window.
+TEST(FabricStressTest, ScheduleGoldenAtWindows1And16) {
+  for (const auto& [window, golden] :
+       {std::pair{1u, 0xf22d12e82f3e1a15ull}, std::pair{16u, 0x21f91ef4000d0564ull}}) {
+    const std::uint64_t fold = FoldSoakSchedules(kFirstSeed, window, RunSoak);
+    EXPECT_EQ(fold, golden) << "fabric soak schedule golden moved at window " << window
+                            << ": fold 0x" << std::hex << fold;
   }
 }
 

@@ -69,12 +69,12 @@ class ChecksumSemanticsTest : public ::testing::TestWithParam<InputBuffering> {
   // Transfers a payload whose checksum is corrupted in flight onto the
   // canvas at kDst, and returns what the receiver reports. The receiver
   // must end with its device buffers and free frames as they were.
-  InputResult CorruptedTransfer(ChecksumRig& rig, Semantics sem) {
-    EXPECT_EQ(rig.rx_app.Write(kDst, canvas_), AccessResult::kOk);
+  InputResult CorruptedTransfer(ChecksumRig& rig, Semantics sem, Vaddr dst = kDst) {
+    EXPECT_EQ(rig.rx_app.Write(dst, canvas_), AccessResult::kOk);
     EXPECT_EQ(rig.tx_app.Write(kSrc, payload_), AccessResult::kOk);
     const std::size_t free_frames = rig.receiver.vm().pm().free_frames();
     rig.tx_ep.CorruptNextChecksum();
-    const InputResult r = rig.Transfer(kSrc, kDst, kLen, sem);
+    const InputResult r = rig.Transfer(kSrc, dst, kLen, sem);
     EXPECT_FALSE(r.ok);
     EXPECT_FALSE(r.checksum_ok);
     EXPECT_TRUE(r.crc_ok);  // The link itself was fine.
@@ -84,8 +84,8 @@ class ChecksumSemanticsTest : public ::testing::TestWithParam<InputBuffering> {
     return r;
   }
 
-  bool BufferIs(ChecksumRig& rig, const std::vector<std::byte>& expected) {
-    return rig.ReadBack(kDst, kLen) == expected;
+  bool BufferIs(ChecksumRig& rig, const std::vector<std::byte>& expected, Vaddr dst = kDst) {
+    return rig.ReadBack(dst, kLen) == expected;
   }
 
   const std::vector<std::byte> canvas_ = TestPattern(kLen, 0x77);
@@ -126,6 +126,31 @@ TEST_P(ChecksumSemanticsTest, SwapPathsAlwaysVerifySeparately) {
   } else {
     EXPECT_EQ(r.status, IoStatus::kIoError);
     EXPECT_TRUE(BufferIs(rig, canvas_));
+  }
+}
+
+TEST_P(ChecksumSemanticsTest, UnalignedCopyOutCarriesIntegratedChecksum) {
+  // Into an unaligned buffer, a pooled device's emulated copy, share and
+  // emulated share copy every byte out of the overlay pages (Table 4), so an
+  // integrated checksum rides that copy as it rides copy semantics: the
+  // buffer is overwritten before the mismatch shows. Early demux keeps
+  // emulated copy on a page swap (its system buffer shares the buffer's
+  // page offset) and lands share in place, so both verify in a separate
+  // pass; outboard's DMA carries the checksum for every semantics.
+  const Vaddr dst = kDst + 1000;
+  const bool integrated = GetParam() != InputBuffering::kEarlyDemux;
+  for (const Semantics sem :
+       {Semantics::kEmulatedCopy, Semantics::kShare, Semantics::kEmulatedShare}) {
+    ChecksumRig rig(ChecksumMode::kIntegrated, GetParam());
+    const InputResult r = CorruptedTransfer(rig, sem, dst);
+    EXPECT_EQ(rig.rx_ep.op_count(OpKind::kChecksumIntegrated), integrated ? 1u : 0u)
+        << SemanticsName(sem);
+    EXPECT_EQ(rig.rx_ep.op_count(OpKind::kChecksumRead), integrated ? 0u : 1u)
+        << SemanticsName(sem);
+    EXPECT_EQ(r.status, integrated ? IoStatus::kOk : IoStatus::kIoError) << SemanticsName(sem);
+    const bool in_place = sem != Semantics::kEmulatedCopy;
+    EXPECT_TRUE(BufferIs(rig, integrated || in_place ? payload_ : canvas_, dst))
+        << SemanticsName(sem);
   }
 }
 

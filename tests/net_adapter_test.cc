@@ -435,13 +435,14 @@ TEST_F(AdapterTest, SequencedFrameAckedAndDuplicateSuppressed) {
   rx->ConnectTo(tx.get(), &back);  // control-cell return path for acks
 
   std::vector<AckRecord> acks;
-  tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
-    acks.push_back({ch, seq, ok});
-  });
   std::vector<std::vector<SackCell>> sacks;
-  tx->set_sack_handler([&](std::uint64_t ch, std::vector<SackCell> cells) {
-    EXPECT_EQ(ch, 5u);
-    sacks.push_back(std::move(cells));
+  tx->set_cell_handler([&](const ControlCell& cell) {
+    if (cell.kind == ControlCell::Kind::kSack) {
+      EXPECT_EQ(cell.channel, 5u);
+      sacks.push_back(cell.sack);
+    } else {
+      acks.push_back({cell.channel, cell.seq, cell.kind == ControlCell::Kind::kAck});
+    }
   });
 
   const IoVec src = MakeBuffer(kPage, 7);
@@ -498,13 +499,14 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   tx->set_fault_plan(&plan);
 
   std::vector<AckRecord> acks;
-  tx->set_ack_handler([&](std::uint64_t ch, std::uint64_t seq, bool ok) {
-    acks.push_back({ch, seq, ok});
-  });
   std::vector<std::vector<SackCell>> sacks;
-  tx->set_sack_handler([&](std::uint64_t ch, std::vector<SackCell> cells) {
-    EXPECT_EQ(ch, 2u);
-    sacks.push_back(std::move(cells));
+  tx->set_cell_handler([&](const ControlCell& cell) {
+    if (cell.kind == ControlCell::Kind::kSack) {
+      EXPECT_EQ(cell.channel, 2u);
+      sacks.push_back(cell.sack);
+    } else {
+      acks.push_back({cell.channel, cell.seq, cell.kind == ControlCell::Kind::kAck});
+    }
   });
 
   const IoVec src = MakeBuffer(kPage, 3);
@@ -547,6 +549,138 @@ TEST_F(AdapterTest, CorruptedSequencedFrameNackedAndBufferRestored) {
   ReadFromIoVec(pm_, src, 0, sent);
   ReadFromIoVec(pm_, dst, 0, got);
   EXPECT_EQ(std::memcmp(sent.data(), got.data(), sent.size()), 0);
+}
+
+// The rules a control cell meets on arrival, kind by kind: a crashed adapter
+// drops and counts every cell; an ack, nack or SACK train stamped below the
+// channel's learned peer epoch is a dead incarnation's and is dropped as
+// stale; a fence or resync-ack from an older epoch is never dropped as
+// stale. Each cell is provoked through the wire protocol and observed
+// through counters only.
+TEST_F(AdapterTest, ControlCellsMeetTheirDropRulesByKind) {
+  struct CellRig {
+    CellRig(Engine& eng, PhysicalMemory& pm, const CostModel& cost, bool flow_control = false)
+        : fwd(eng, "fwd", kMaxAal5Payload),
+          back(eng, "back", kMaxAal5Payload),
+          tx(eng, pm, cost, "tx", Adapter::Config{}),
+          rx(eng, pm, cost, "rx", Adapter::Config{.flow_control = flow_control}) {
+      tx.ConnectTo(&rx, &fwd);
+      rx.ConnectTo(&tx, &back);
+    }
+    // Sends sequenced frame `seq`, addressed to the receiver's incarnation
+    // `dst_epoch` (0 = unfenced).
+    void Send(const IoVec& src, std::uint64_t seq, std::uint32_t dst_epoch = 0) {
+      auto ctl = std::make_shared<TxControl>();
+      ctl->seq = seq;
+      ctl->skip_credit = true;
+      ctl->src_epoch = dst_epoch == 0 ? 0 : 1;
+      ctl->dst_epoch = dst_epoch;
+      std::move(tx.TransmitFrame(1, src, 0, 0, ctl)).Detach();
+    }
+    SwitchLink fwd;
+    SwitchLink back;
+    Adapter tx;
+    Adapter rx;
+  };
+  const IoVec src = MakeBuffer(64, 3);
+  const IoVec dst = MakeBuffer(64, 0);
+
+  // Crashed receiver of the cell, one kind at a time.
+  {
+    CellRig credit(eng_, pm_, cost_, /*flow_control=*/true);
+    credit.rx.PostReceive(1, Adapter::PostedReceive{dst, nullptr});
+    credit.tx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(credit.tx.crash_cell_drops(), 1u) << "credit";
+    EXPECT_EQ(credit.tx.tx_credits(1), 0u);
+  }
+  {
+    CellRig ack(eng_, pm_, cost_);
+    ack.rx.PostReceive(1, Adapter::PostedReceive{dst, nullptr});
+    ack.Send(src, 1);
+    eng_.Run();
+    ack.Send(src, 1);  // A duplicate: re-acked.
+    eng_.RunUntil([&] { return ack.rx.acks_sent() == 2; });
+    ack.tx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(ack.rx.rx_duplicate_frames(), 1u);
+    EXPECT_EQ(ack.tx.crash_cell_drops(), 1u) << "ack";
+  }
+  {
+    CellRig nack(eng_, pm_, cost_);
+    nack.Send(src, 1);  // No posted buffer: nacked.
+    eng_.RunUntil([&] { return nack.rx.nacks_sent() == 1; });
+    nack.tx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(nack.tx.crash_cell_drops(), 1u) << "nack";
+  }
+  {
+    CellRig sack(eng_, pm_, cost_);
+    sack.rx.PostReceive(1, Adapter::PostedReceive{dst, nullptr});
+    sack.Send(src, 1);
+    eng_.RunUntil([&] { return sack.rx.frames_received() == 1; });
+    sack.tx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(sack.rx.sack_cells_sent(), 1u);
+    EXPECT_EQ(sack.tx.crash_cell_drops(), 1u) << "SACK train";
+  }
+  {
+    CellRig fence(eng_, pm_, cost_);
+    fence.rx.Crash(2);
+    fence.rx.Restart();
+    fence.Send(src, 1, /*dst_epoch=*/1);  // Addressed to the dead incarnation.
+    eng_.RunUntil([&] { return fence.rx.fences_sent() == 1; });
+    fence.tx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(fence.tx.crash_cell_drops(), 1u) << "fence";
+  }
+  {
+    CellRig resync(eng_, pm_, cost_);
+    resync.tx.SendResync(1, 9);
+    resync.rx.Crash(2);
+    eng_.Run();
+    EXPECT_EQ(resync.rx.crash_cell_drops(), 1u) << "resync";
+    EXPECT_EQ(resync.tx.crash_cell_drops(), 0u);  // No resync-ack came back.
+  }
+  {
+    CellRig resync_ack(eng_, pm_, cost_);
+    resync_ack.tx.SendResync(1, 9);
+    resync_ack.tx.Crash(2);  // The resync is already on its way.
+    eng_.Run();
+    EXPECT_EQ(resync_ack.rx.crash_cell_drops(), 0u);
+    EXPECT_EQ(resync_ack.tx.crash_cell_drops(), 1u) << "resync-ack";
+  }
+
+  // Cells from the peer's dead incarnation 1, after the sender learned 2.
+  {
+    CellRig acks(eng_, pm_, cost_);
+    acks.tx.NotePeerEpoch(1, 2);
+    acks.rx.PostReceive(1, Adapter::PostedReceive{dst, nullptr});
+    acks.Send(src, 1);
+    eng_.Run();
+    EXPECT_EQ(acks.rx.sack_cells_sent(), 1u);
+    EXPECT_EQ(acks.tx.stale_epoch_cell_drops(), 1u) << "SACK train";
+    acks.Send(src, 1);  // A duplicate: re-acked.
+    eng_.Run();
+    EXPECT_EQ(acks.tx.stale_epoch_cell_drops(), 2u) << "ack";
+    acks.Send(src, 2);  // No posted buffer: nacked.
+    eng_.Run();
+    EXPECT_EQ(acks.rx.nacks_sent(), 1u);
+    EXPECT_EQ(acks.tx.stale_epoch_cell_drops(), 3u) << "nack";
+    EXPECT_EQ(acks.tx.crash_cell_drops(), 0u);
+  }
+  {
+    CellRig fence(eng_, pm_, cost_);
+    fence.rx.Crash(2);
+    fence.rx.Restart();
+    fence.tx.NotePeerEpoch(1, 3);  // Fenced by incarnation 2, below the floor.
+    fence.Send(src, 1, /*dst_epoch=*/1);
+    fence.tx.SendResync(1, 9);     // Acked by incarnation 2, below the floor.
+    eng_.Run();
+    EXPECT_EQ(fence.rx.fences_sent(), 1u);
+    EXPECT_EQ(fence.tx.stale_epoch_cell_drops(), 0u) << "fence or resync-ack";
+    EXPECT_EQ(fence.tx.crash_cell_drops(), 0u);
+  }
 }
 
 TEST_F(AdapterTest, LinkDropLosesFrameWithoutConsumingBuffer) {
@@ -853,9 +987,10 @@ TEST_F(AdapterTest, WindowedReceiverBatchesSackAcks) {
 
   std::vector<SackCell> last_train;
   int trains = 0;
-  tx->set_sack_handler([&](std::uint64_t channel, std::vector<SackCell> cells) {
-    EXPECT_EQ(channel, 2u);
-    last_train = std::move(cells);
+  tx->set_cell_handler([&](const ControlCell& cell) {
+    ASSERT_EQ(cell.kind, ControlCell::Kind::kSack);
+    EXPECT_EQ(cell.channel, 2u);
+    last_train = cell.sack;
     ++trains;
   });
 

@@ -14,11 +14,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "src/obs/flight_recorder.h"
 #include "tests/fault_test_util.h"
+#include "tests/soak_golden.h"
 
 namespace genie {
 namespace {
@@ -101,10 +103,11 @@ std::uint32_t StressWindow() {
   return window;
 }
 
-ReliableOptions StressReliableOptions(std::uint64_t seed) {
+ReliableOptions StressReliableOptions(std::uint64_t seed,
+                                      std::uint32_t window = StressWindow()) {
   ReliableOptions opts;
   opts.arq = true;
-  opts.window = StressWindow();
+  opts.window = window;
   opts.seed = seed ^ 0xa5c3a5c3a5c3a5c3ULL;
   // Generous relative to the worst-case backoff ladder (~160 ms with the
   // defaults): the watchdog must only catch genuinely stuck transfers, never
@@ -113,7 +116,7 @@ ReliableOptions StressReliableOptions(std::uint64_t seed) {
   return opts;
 }
 
-IterationOutcome RunIteration(std::uint64_t seed) {
+IterationOutcome RunIteration(std::uint64_t seed, std::uint32_t window = StressWindow()) {
   IterationOutcome out;
   SplitMix64 rng(seed ^ 0x4e11ab1e4e11ab1eULL);
 
@@ -122,8 +125,8 @@ IterationOutcome RunIteration(std::uint64_t seed) {
   options.checksum_mode = static_cast<ChecksumMode>(rng.Below(3));
   options.enable_semantics_fallback = true;
   FaultRig rig(seed, buffering, options, /*mem_frames=*/384);
-  rig.sender.EnableReliableDelivery(StressReliableOptions(seed));
-  rig.receiver.EnableReliableDelivery(StressReliableOptions(seed ^ 1));
+  rig.sender.EnableReliableDelivery(StressReliableOptions(seed, window));
+  rig.receiver.EnableReliableDelivery(StressReliableOptions(seed ^ 1, window));
 
   // Flight recorder over both nodes: dumps the trace ring on any invariant
   // violation and on every watchdog cancel (a cancelled transfer is exactly
@@ -542,6 +545,20 @@ TEST(ReliableStressTest, WindowedLossSoakPipelinesConcurrentBursts) {
       "%llu retransmits, %llu dups suppressed\n",
       kRounds * kBurst, static_cast<unsigned long long>(snap.Value("reliable.retransmits")),
       static_cast<unsigned long long>(rig.receiver.adapter().rx_duplicate_frames()));
+}
+
+// The first 20 seeds' schedules at windows 1 and 16, folded in seed order
+// (tests/soak_golden.h): a change that moves any event of the lossy soak,
+// such as a nack, a duplicate's re-ack or a SACK train, fails here naming
+// the window. An iteration runs one transfer at a time, so both windows
+// fold to the same value.
+TEST(ReliableStressTest, ScheduleGoldenAtWindows1And16) {
+  for (const auto& [window, golden] :
+       {std::pair{1u, 0xbe9b19f7673273a8ull}, std::pair{16u, 0xbe9b19f7673273a8ull}}) {
+    const std::uint64_t fold = FoldSoakSchedules(kFirstSeed, window, RunIteration);
+    EXPECT_EQ(fold, golden) << "reliable soak schedule golden moved at window " << window
+                            << ": fold 0x" << std::hex << fold;
+  }
 }
 
 // A failing seed is only a complete bug report if the schedule is bit-for-bit
