@@ -95,8 +95,10 @@ python3 -c 'import json, sys; json.load(open(sys.argv[1]))' build/table6_trace.j
 # The paper reproduction: every paper bench (all of build/bench/ except the
 # wall-clock bench_hostpath and bench_micro_ops) and every example prints
 # only simulated results, so each one's stdout is pinned by its sha256. Each
-# runs without arguments; sweep_cli also runs once with pooled and once with
-# outboard receivers, whose schedules no argument-free run covers. A change
+# runs without arguments. sweep_cli also runs with pooled and with outboard
+# receivers, and with early-demultiplexed receives into buffers 1000 bytes
+# into a page (every semantics' prepare, and Table 3's copyout and
+# reverse-copyout disposes): schedules no argument-free run covers. A change
 # to the cost model, a semantics or the simulated clock fails here, naming
 # the runs whose output moved.
 echo "paper reproduction pin"
@@ -125,6 +127,7 @@ a76f4f0deb3a79b74fe3746d10641cd1ecf61878853d04d69f5a2ed9cdf89433  quickstart
 b84862a572ca1dd30361475f16fdfb5a515647137009c1d61c39eeb0cd1bf23f  rpc_pingpong
 c7947518f830ddca1e5c5b2ed14b5e684d7ba3b6fa2ebc71973d95e9dba5704c  semantics_tour
 fa5aa348403896b2c0ba2f6dbe5492b40134fded6802fb12ba3537f9c715ea68  sweep_cli
+d59760c02cb386758dfb3990fb0d2acdebef4a82eb8998c02b850abe14c765fa  sweep_cli --semantics=all --offset=1000
 015757c9401af0455a3f30b2ef4264004e8337e7d27050101162841eef8fbbe0  sweep_cli --semantics=all --buffering=pooled --offset=1000
 ed4dfc36b81a9ae1985a9d07a08e3c9eea7df0f693d0268ea3befdae488e69c0  sweep_cli --semantics=all --buffering=outboard
 EOF

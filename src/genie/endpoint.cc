@@ -17,76 +17,39 @@ std::uint64_t CeilPages(std::uint64_t len, std::uint32_t page_size) {
   return (len + page_size - 1) / page_size;
 }
 
-// Semantics degradation chains (options.enable_semantics_fallback): the next
-// semantics to try after `s` failed to prepare. The chain runs emulated ->
-// basic -> copy; copy is the floor because it only needs a system buffer and
-// a copyin/copyout, the weakest resource demand of the taxonomy.
-//
-// Demoting a move-family output to copy sets *deallocate_region: the
-// application relinquished the buffer when it called output, so the copy
-// fallback must still retire the moved-in region at dispose.
-bool NextOutputFallback(Semantics s, Semantics* next, bool* deallocate_region) {
-  switch (s) {
-    case Semantics::kEmulatedCopy:
-      *next = Semantics::kCopy;
-      return true;
-    case Semantics::kEmulatedShare:
-      *next = Semantics::kShare;
-      return true;
-    case Semantics::kShare:
-      *next = Semantics::kCopy;
-      return true;
-    case Semantics::kEmulatedMove:
-      *next = Semantics::kMove;
-      return true;
-    case Semantics::kEmulatedWeakMove:
-      *next = Semantics::kWeakMove;
-      return true;
-    case Semantics::kMove:
-    case Semantics::kWeakMove:
-      *next = Semantics::kCopy;
-      *deallocate_region = true;
-      return true;
-    case Semantics::kCopy:
-      return false;
+// Semantics degradation (options.enable_semantics_fallback): the semantics
+// to try after `s` failed to prepare. An emulated semantics falls back to the
+// basic one it optimizes, a basic one to `floor`, and nothing goes below the
+// floor (returns `s` itself). The floor is copy, which only needs a system
+// buffer and a copyin/copyout, the weakest resource demand of the taxonomy;
+// a system-allocated input must still deliver a moved-in region, so its
+// floor is basic move, which builds its region from a plain system buffer at
+// dispose and has no prepare-time region or wiring demands.
+Semantics FallbackOf(Semantics s, Semantics floor) {
+  if (s == floor) {
+    return s;
   }
-  return false;
+  return IsEmulated(s) ? BasicOf(s) : floor;
 }
 
-// Input chains keep the allocation family fixed: an application-allocated
-// input must deliver into the caller's buffer (floor: copy), a
-// system-allocated input must deliver a moved-in region (floor: basic move,
-// which builds its region from a plain system buffer at dispose and has no
-// prepare-time region or wiring demands).
-bool NextInputFallback(Semantics s, bool system_allocated, Semantics* next) {
-  if (system_allocated) {
-    switch (s) {
-      case Semantics::kEmulatedMove:
-        *next = Semantics::kMove;
-        return true;
-      case Semantics::kEmulatedWeakMove:
-        *next = Semantics::kWeakMove;
-        return true;
-      case Semantics::kWeakMove:
-        *next = Semantics::kMove;
-        return true;
-      default:
-        return false;
-    }
-  }
-  switch (s) {
-    case Semantics::kEmulatedCopy:
-      *next = Semantics::kCopy;
-      return true;
-    case Semantics::kEmulatedShare:
-      *next = Semantics::kShare;
-      return true;
-    case Semantics::kShare:
-      *next = Semantics::kCopy;
-      return true;
-    default:
-      return false;
-  }
+// Whether `s` wires the pages it passes in place. The basic semantics do;
+// the emulated ones rely on input-disabled pageout instead (Section 3.2) and
+// wire only in its ablation.
+bool Wires(Semantics s, const GenieOptions& options) {
+  return !IsEmulated(s) || !options.enable_input_disabled_pageout;
+}
+
+// Whether a system-allocated `s` caches the regions it moves out, for its
+// inputs to reuse, instead of removing them: weak integrity leaves the
+// region mapped, and the emulated semantics hide it (region hiding, Section
+// 4) unless that is switched off.
+bool CachesRegions(Semantics s, const GenieOptions& options) {
+  return IsWeakIntegrity(s) || (IsEmulated(s) && options.enable_region_hiding);
+}
+
+// The state a cached region of `s` waits in.
+RegionState CachedRegionState(Semantics s) {
+  return IsStrongIntegrity(s) ? RegionState::kMovedOut : RegionState::kWeaklyMovedOut;
 }
 
 }  // namespace
@@ -224,6 +187,11 @@ std::shared_ptr<Endpoint::OutputState> Endpoint::MakeOutputState(AddressSpace& a
                                                                  std::uint64_t len,
                                                                  Semantics sem,
                                                                  std::uint32_t tag) {
+  if (node_->crashed()) {
+    // Kernel I/O state is gone; fail fast without touching the VM.
+    ++stats_.failed_outputs;
+    return nullptr;
+  }
   GENIE_CHECK_GT(len, 0u);
   GENIE_CHECK_LE(len, kMaxAal5Payload);
   auto st = std::make_shared<OutputState>();
@@ -315,12 +283,10 @@ Task<IoStatus> Endpoint::RunOutputPrepare(std::shared_ptr<OutputState> st) {
 
 Task<void> Endpoint::OutputTagged(AddressSpace& app, Vaddr va, std::uint64_t len,
                                   Semantics sem, std::uint32_t tag) {
-  if (node_->crashed()) {
-    // Kernel I/O state is gone; fail fast without touching the VM.
-    ++stats_.failed_outputs;
+  auto st = MakeOutputState(app, va, len, sem, tag);
+  if (st == nullptr) {
     co_return;
   }
-  auto st = MakeOutputState(app, va, len, sem, tag);
   co_await node_->cpu().Acquire();
   const IoStatus prep = co_await RunOutputPrepare(st);
   node_->cpu().Release();
@@ -385,8 +351,7 @@ Task<std::size_t> Endpoint::WaitCompletions(std::size_t n) {
 }
 
 Task<void> Endpoint::RunRingInput(SubmitEntry entry) {
-  const InputResult r =
-      co_await InputCommon(*entry.app, entry.va, entry.len, entry.sem, entry.system_allocated);
+  const InputResult r = co_await InputCommon(*entry.app, entry.va, entry.len, entry.sem);
   Completion c;
   c.user_data = entry.user_data;
   c.op = SubmitEntry::Op::kInput;
@@ -421,7 +386,7 @@ Task<std::size_t> Endpoint::Drain() {
     auto st = MakeOutputState(*entry.app, entry.va, entry.len, entry.sem, entry.tag);
     const std::uint64_t user_data = entry.user_data;
     const std::uint64_t len = entry.len;
-    st->on_complete = [this, user_data, len](IoStatus status) {
+    auto complete = [this, user_data, len](IoStatus status) {
       Completion c;
       c.user_data = user_data;
       c.op = SubmitEntry::Op::kOutput;
@@ -429,6 +394,11 @@ Task<std::size_t> Endpoint::Drain() {
       c.bytes = status == IoStatus::kOk ? len : 0;
       PushCompletion(c);
     };
+    if (st == nullptr) {
+      complete(IoStatus::kPeerCrashed);  // Refused: the node is crashed.
+      continue;
+    }
+    st->on_complete = complete;
     const IoStatus prep = co_await RunOutputPrepare(st);
     if (prep != IoStatus::kOk) {
       FinishOperation();
@@ -443,11 +413,12 @@ Task<std::size_t> Endpoint::Drain() {
 IoStatus Endpoint::PrepareOutput(OutputState& st, Charges& ch) {
   AddressSpace& app = *st.app;
   PhysicalMemory& pm = app.vm().pm();
+  const Semantics s = st.effective;
   const Vaddr va = st.va;
   const std::uint64_t len = st.len;
   Region* region = app.FindRegion(va);
   GENIE_CHECK(region != nullptr && va + len <= region->end()) << "bad output buffer";
-  if (IsSystemAllocated(st.effective)) {
+  if (IsSystemAllocated(s)) {
     // Output with system-allocated semantics is allowed only on moved-in
     // regions (Section 2.1): deallocating an unmovable region (heap/stack)
     // would open inconsistent gaps.
@@ -456,111 +427,75 @@ IoStatus Endpoint::PrepareOutput(OutputState& st, Charges& ch) {
     st.region_start = region->start;
   }
 
-  switch (st.effective) {
-    case Semantics::kCopy: {
-      // Allocate system buffer; copyin output data. Under memory pressure
-      // the pageout daemon makes room first.
-      if (!node_->TryEnsureFreeFrames(CeilPages(len, pm.page_size())) ||
-          !TryAllocateSysBuffer(pm, 0, len, &st.sysbuf)) {
-        return IoStatus::kNoMemory;
-      }
-      st.has_sysbuf = true;
-      // Single-pass copyin, with the transport checksum folded in when one
-      // is wanted (reference [7]): the data is read exactly once.
-      InternetChecksum sum;
-      const bool fuse = options_.checksum_mode != ChecksumMode::kNone;
-      const AccessResult res = CopyinToIoVec(app, va, len, st.sysbuf.iov, fuse ? &sum : nullptr);
-      if (res != AccessResult::kOk) {
-        // A source page could not be faulted in (injected allocation or
-        // backing failure); release the system buffer and fail the output.
-        FreeSysBuffer(pm, st.sysbuf);
-        st.has_sysbuf = false;
-        return IoStatus::kIoError;
-      }
-      if (fuse) {
-        st.fused_header = sum.value();
-        st.has_fused_header = true;
-      }
-      for (const FrameId f : st.sysbuf.frames) {
-        pm.AddOutputRef(f);
-      }
-      ch.Add(OpKind::kOverlayAllocate, 0);  // System buffer allocation.
-      ch.Add(OpKind::kCopyin, len);
-      st.wire = st.sysbuf.iov;
-      break;
+  if (s == Semantics::kCopy) {
+    // Allocate system buffer; copyin output data. Under memory pressure
+    // the pageout daemon makes room first.
+    if (!node_->TryEnsureFreeFrames(CeilPages(len, pm.page_size())) ||
+        !TryAllocateSysBuffer(pm, 0, len, &st.sysbuf)) {
+      return IoStatus::kNoMemory;
     }
-    case Semantics::kEmulatedCopy: {
-      // Reference application pages; read-only application pages (TCOW arm).
-      // ReferenceRange unwinds itself on a mid-run page-in failure.
-      const AccessResult res = ReferenceRange(app, va, len, IoDirection::kOutput, &st.ref);
-      if (res != AccessResult::kOk) {
-        return IoStatus::kIoError;
-      }
-      ch.Add(OpKind::kReference, len);
-      app.RemoveWrite(va, len);
-      ch.Add(OpKind::kReadOnly, len);
-      st.wire = st.ref.iovec;
-      break;
+    // Single-pass copyin, with the transport checksum folded in when one
+    // is wanted (reference [7]): the data is read exactly once.
+    InternetChecksum sum;
+    const bool fuse = options_.checksum_mode != ChecksumMode::kNone;
+    const AccessResult res = CopyinToIoVec(app, va, len, st.sysbuf.iov, fuse ? &sum : nullptr);
+    if (res != AccessResult::kOk) {
+      // A source page could not be faulted in (injected allocation or
+      // backing failure); release the system buffer and fail the output.
+      FreeSysBuffer(pm, st.sysbuf);
+      return IoStatus::kIoError;
     }
-    case Semantics::kShare: {
-      const AccessResult res = ReferenceRange(app, va, len, IoDirection::kOutput, &st.ref);
-      if (res != AccessResult::kOk) {
-        return IoStatus::kIoError;
-      }
-      ch.Add(OpKind::kReference, len);
-      for (const FrameId f : st.ref.frames) {
-        pm.Wire(f);
-      }
-      ch.Add(OpKind::kWire, len);
-      st.wire = st.ref.iovec;
-      break;
+    if (fuse) {
+      st.fused_header = sum.value();
+      st.has_fused_header = true;
     }
-    case Semantics::kEmulatedShare: {
-      const AccessResult res = ReferenceRange(app, va, len, IoDirection::kOutput, &st.ref);
-      if (res != AccessResult::kOk) {
-        return IoStatus::kIoError;
-      }
-      ch.Add(OpKind::kReference, len);
-      st.wire = st.ref.iovec;
-      break;
+    for (const FrameId f : st.sysbuf.frames) {
+      pm.AddOutputRef(f);
     }
-    case Semantics::kMove:
-    case Semantics::kWeakMove:
-    case Semantics::kEmulatedMove:
-    case Semantics::kEmulatedWeakMove: {
-      const AccessResult res = ReferenceRange(app, va, len, IoDirection::kOutput, &st.ref);
-      if (res != AccessResult::kOk) {
-        return IoStatus::kIoError;
-      }
-      ch.Add(OpKind::kReference, len);
-      if (st.effective == Semantics::kMove || st.effective == Semantics::kWeakMove) {
-        for (const FrameId f : st.ref.frames) {
-          pm.Wire(f);
-        }
-        ch.Add(OpKind::kWire, len);
-      }
-      region->state = RegionState::kMovingOut;
-      ch.Add(OpKind::kRegionMarkOut, 0);
-      if (st.effective == Semantics::kMove || st.effective == Semantics::kEmulatedMove) {
-        // Strong move semantics: invalidate application pages so the data
-        // cannot be observed or corrupted during output.
-        app.RemoveAll(region->start, region->length);
-        ch.Add(OpKind::kInvalidate, len);
-      }
-      st.wire = st.ref.iovec;
-      break;
-    }
+    ch.Add(OpKind::kOverlayAllocate, 0);  // System buffer allocation.
+    ch.Add(OpKind::kCopyin, len);
+    st.wire = st.sysbuf.iov;
+    return IoStatus::kOk;
   }
 
-  // Ablation: with input-disabled pageout off, the emulated semantics must
-  // wire like the basic ones to keep pages resident during I/O.
-  if (!options_.enable_input_disabled_pageout && IsEmulated(st.effective)) {
+  // Every other semantics outputs the application pages in place.
+  // ReferenceRange unwinds itself on a mid-run page-in failure.
+  if (ReferenceRange(app, va, len, IoDirection::kOutput, &st.ref) != AccessResult::kOk) {
+    return IoStatus::kIoError;
+  }
+  ch.Add(OpKind::kReference, len);
+  // A basic semantics wires before it marks or invalidates the region; the
+  // ablation's wire of an emulated one stays the phase's last step.
+  const bool wires = Wires(s, options_);
+  auto wire = [&] {
     for (const FrameId f : st.ref.frames) {
       pm.Wire(f);
     }
-    st.extra_wired = true;
+    st.wired = true;
     ch.Add(OpKind::kWire, len);
+  };
+  if (IsStrongIntegrity(s) && IsApplicationAllocated(s)) {
+    // TCOW arm: read-only application pages (Section 5.1).
+    app.RemoveWrite(va, len);
+    ch.Add(OpKind::kReadOnly, len);
   }
+  if (wires && !IsEmulated(s)) {
+    wire();
+  }
+  if (IsSystemAllocated(s)) {
+    region->state = RegionState::kMovingOut;
+    ch.Add(OpKind::kRegionMarkOut, 0);
+  }
+  if (IsStrongIntegrity(s) && IsSystemAllocated(s)) {
+    // Strong move semantics: invalidate application pages so the data
+    // cannot be observed or corrupted during output.
+    app.RemoveAll(region->start, region->length);
+    ch.Add(OpKind::kInvalidate, len);
+  }
+  if (wires && IsEmulated(s)) {
+    wire();
+  }
+  st.wire = st.ref.iovec;
   return IoStatus::kOk;
 }
 
@@ -573,9 +508,8 @@ void Endpoint::RecordSemanticsFallback(const std::string& xfer, std::string_view
 IoStatus Endpoint::PrepareOutputWithFallback(OutputState& st, Charges& ch) {
   IoStatus prep = PrepareOutput(st, ch);
   while (prep != IoStatus::kOk && options_.enable_semantics_fallback) {
-    Semantics next;
-    bool deallocate = st.deallocate_region;
-    if (!NextOutputFallback(st.effective, &next, &deallocate)) {
+    const Semantics next = FallbackOf(st.effective, Semantics::kCopy);
+    if (next == st.effective) {
       break;
     }
     RecordSemanticsFallback(st.xfer, SemanticsName(st.effective), SemanticsName(next));
@@ -583,17 +517,17 @@ IoStatus Endpoint::PrepareOutputWithFallback(OutputState& st, Charges& ch) {
     // before retrying with the demoted semantics.
     st.ref = IoReference{};
     st.sysbuf = SysBuffer{};
-    st.has_sysbuf = false;
     st.has_fused_header = false;
     st.wire = IoVec{};
     st.effective = next;
-    st.deallocate_region = deallocate;
     prep = PrepareOutput(st, ch);
   }
-  if (prep == IoStatus::kOk && st.deallocate_region) {
-    // Copy fallback of a move-family output: mark the region moving-out now
-    // (so the application cannot start another transfer from it) and retire
-    // it at dispose, honoring the move contract despite the demotion.
+  if (prep == IoStatus::kOk && IsSystemAllocated(st.requested) &&
+      !IsSystemAllocated(st.effective)) {
+    // The demotion left the system-allocated family (move to copy): mark the
+    // region moving-out now, so the application cannot start another
+    // transfer from it, and settle it at dispose, honoring the move contract
+    // despite the demotion.
     if (Region* region = st.app->RegionAt(st.region_start); region != nullptr) {
       region->state = RegionState::kMovingOut;
     }
@@ -710,92 +644,38 @@ void Endpoint::DisposeOutput(OutputState& st, Charges& ch) {
   PhysicalMemory& pm = app.vm().pm();
   const std::uint64_t len = st.len;
 
-  if (st.extra_wired) {
+  if (st.wired) {
     for (const FrameId f : st.ref.frames) {
       pm.Unwire(f);
     }
     ch.Add(OpKind::kUnwire, len);
   }
-
-  switch (st.effective) {
-    case Semantics::kCopy: {
-      for (const FrameId f : st.sysbuf.frames) {
-        pm.DropOutputRef(f);
-      }
-      FreeSysBuffer(pm, st.sysbuf);
-      ch.Add(OpKind::kUnreference, len);
-      if (st.deallocate_region) {
-        // Copy fallback of a move-family output: the application gave the
-        // buffer up, so the moved-in region is still retired here.
-        if (app.RegionAt(st.region_start) != nullptr) {
-          app.RemoveRegion(st.region_start);
-        }
-        ch.Add(OpKind::kRegionRemove, 0);
-      }
-      break;
+  if (st.effective == Semantics::kCopy) {
+    for (const FrameId f : st.sysbuf.frames) {
+      pm.DropOutputRef(f);
     }
-    case Semantics::kEmulatedCopy: {
-      Unreference(app.vm(), st.ref);
-      ch.Add(OpKind::kUnreference, len);
-      break;
-    }
-    case Semantics::kShare: {
-      for (const FrameId f : st.ref.frames) {
-        pm.Unwire(f);
-      }
-      ch.Add(OpKind::kUnwire, len);
-      Unreference(app.vm(), st.ref);
-      ch.Add(OpKind::kUnreference, len);
-      break;
-    }
-    case Semantics::kEmulatedShare: {
-      Unreference(app.vm(), st.ref);
-      ch.Add(OpKind::kUnreference, len);
-      break;
-    }
-    case Semantics::kMove:
-    case Semantics::kWeakMove: {
-      for (const FrameId f : st.ref.frames) {
-        pm.Unwire(f);
-      }
-      ch.Add(OpKind::kUnwire, len);
-      Unreference(app.vm(), st.ref);
-      ch.Add(OpKind::kUnreference, len);
-      if (st.effective == Semantics::kMove) {
-        // Deferred region removal (kept until dispose so virtual addresses
-        // are not reassigned during I/O).
-        if (app.RegionAt(st.region_start) != nullptr) {
-          app.RemoveRegion(st.region_start);
-        }
-        ch.Add(OpKind::kRegionRemove, 0);
-      } else {
-        if (Region* region = app.RegionAt(st.region_start); region != nullptr) {
-          region->state = RegionState::kWeaklyMovedOut;
-          app.EnqueueCachedRegion(region->start);
-        }
-        ch.Add(OpKind::kRegionMarkOut, 0);
-      }
-      break;
-    }
-    case Semantics::kEmulatedMove:
-    case Semantics::kEmulatedWeakMove: {
-      Unreference(app.vm(), st.ref);
-      ch.Add(OpKind::kUnreference, len);
-      Region* region = app.RegionAt(st.region_start);
-      if (st.effective == Semantics::kEmulatedMove && !options_.enable_region_hiding) {
-        // Ablation: no hiding — pay full region removal like basic move.
-        if (region != nullptr) {
-          app.RemoveRegion(st.region_start);
-        }
-        ch.Add(OpKind::kRegionRemove, 0);
-      } else if (region != nullptr) {
-        region->state = st.effective == Semantics::kEmulatedMove
-                            ? RegionState::kMovedOut
-                            : RegionState::kWeaklyMovedOut;
+    FreeSysBuffer(pm, st.sysbuf);
+  } else {
+    Unreference(app.vm(), st.ref);
+  }
+  ch.Add(OpKind::kUnreference, len);
+  if (IsSystemAllocated(st.requested)) {
+    // The application gave the region up at the output call (a copy
+    // fallback included). It was kept until now so its virtual addresses
+    // are not reassigned during I/O; it is cached for a later input, or
+    // removed.
+    Region* region = app.RegionAt(st.region_start);
+    if (CachesRegions(st.effective, options_)) {
+      if (region != nullptr) {
+        region->state = CachedRegionState(st.effective);
         app.EnqueueCachedRegion(region->start);
-        ch.Add(OpKind::kRegionMarkOut, 0);
       }
-      break;
+      ch.Add(OpKind::kRegionMarkOut, 0);
+    } else {
+      if (region != nullptr) {
+        app.RemoveRegion(st.region_start);
+      }
+      ch.Add(OpKind::kRegionRemove, 0);
     }
   }
 }
@@ -808,17 +688,17 @@ Task<InputResult> Endpoint::Input(AddressSpace& app, Vaddr va, std::uint64_t len
                                   Semantics sem) {
   GENIE_CHECK(IsApplicationAllocated(sem))
       << "Input() takes application-allocated semantics; use InputSystemAllocated";
-  return InputCommon(app, va, len, sem, /*system_allocated=*/false);
+  return InputCommon(app, va, len, sem);
 }
 
 Task<InputResult> Endpoint::InputSystemAllocated(AddressSpace& app, std::uint64_t len,
                                                  Semantics sem) {
   GENIE_CHECK(IsSystemAllocated(sem));
-  return InputCommon(app, 0, len, sem, /*system_allocated=*/true);
+  return InputCommon(app, 0, len, sem);
 }
 
 Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64_t len,
-                                        Semantics sem, bool system_allocated) {
+                                        Semantics sem) {
   GENIE_CHECK_GT(len, 0u);
   GENIE_CHECK_LE(len, kMaxAal5Payload);
   if (node_->crashed()) {
@@ -836,7 +716,6 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
   pi->len = len;
   pi->sem = sem;
   pi->mode = node_->adapter().rx_buffering();
-  pi->system_allocated = system_allocated;
   pi->xfer = XferLabel("in", sem);
   pi->started_at = node_->engine().now();
 
@@ -902,9 +781,13 @@ Task<InputResult> Endpoint::InputCommon(AddressSpace& app, Vaddr va, std::uint64
 
 IoStatus Endpoint::PrepareInputWithFallback(PendingInput& pi, Charges& ch) {
   IoStatus prep = PrepareInput(pi, ch);
+  // The allocation family stays fixed: an application-allocated input must
+  // deliver into the caller's buffer, a system-allocated one a moved-in
+  // region.
+  const Semantics floor = IsSystemAllocated(pi.sem) ? Semantics::kMove : Semantics::kCopy;
   while (prep != IoStatus::kOk && options_.enable_semantics_fallback) {
-    Semantics next;
-    if (!NextInputFallback(pi.sem, pi.system_allocated, &next)) {
+    const Semantics next = FallbackOf(pi.sem, floor);
+    if (next == pi.sem) {
       break;
     }
     RecordSemanticsFallback(pi.xfer, SemanticsName(pi.sem), SemanticsName(next));
@@ -984,70 +867,55 @@ IoStatus Endpoint::PrepareInput(PendingInput& pi, Charges& ch) {
       break;
     }
     case Semantics::kShare:
-    case Semantics::kEmulatedShare: {
-      // In-place input: reference (and for share, wire) application pages.
-      const AccessResult res = ReferenceRange(app, pi.va, len, IoDirection::kInput, &pi.ref);
-      if (res != AccessResult::kOk) {
-        return IoStatus::kIoError;
-      }
-      ch.Add(OpKind::kReference, len);
-      if (pi.sem == Semantics::kShare ||
-          (!options_.enable_input_disabled_pageout && pi.sem == Semantics::kEmulatedShare)) {
-        WireRefFrames(pi);
-        ch.Add(OpKind::kWire, len);
-      }
-      pi.target = pi.ref.iovec;
-      break;
-    }
+    case Semantics::kEmulatedShare:
     case Semantics::kEmulatedMove:
     case Semantics::kWeakMove:
     case Semantics::kEmulatedWeakMove: {
-      // Dequeue a cached region (region caching / hiding) or allocate a new
-      // one marked moving-in.
-      const RegionState cache_state = pi.sem == Semantics::kEmulatedMove
-                                          ? RegionState::kMovedOut
-                                          : RegionState::kWeaklyMovedOut;
-      const std::uint64_t rlen = CeilPages(len, psz) * psz;
+      // In-place input: the device writes the pages the application gets,
+      // its own buffer's or those of a region that stays moving-in until the
+      // dispose. A system-allocated input first dequeues a cached region
+      // (region caching / hiding) or creates one.
       Region* region = nullptr;
       bool from_cache = false;
-      const bool may_use_cache =
-          pi.sem != Semantics::kEmulatedMove || options_.enable_region_hiding;
-      if (may_use_cache) {
-        region = app.DequeueCachedRegion(rlen, cache_state);
-        from_cache = region != nullptr;
-      }
-      if (region != nullptr) {
-        ++stats_.region_cache_hits;
-        ch.Add(OpKind::kRegionDequeue, 0);
-      } else {
-        ++stats_.region_cache_misses;
-        const Vaddr addr = app.FindFreeRange(rlen);
-        region = app.CreateRegion(addr, rlen, RegionState::kMovingIn);
-        ch.Add(OpKind::kRegionCreate, 0);
-      }
-      region->state = RegionState::kMovingIn;
-      pi.region_start = region->start;
-      pi.region_object = region->object;
-      pi.va = region->start;
-      const AccessResult res =
-          ReferenceRange(app, region->start, len, IoDirection::kInput, &pi.ref);
-      if (res != AccessResult::kOk) {
-        // Unwind the prepared region: back to its cache if it came from one
-        // (any pages it already holds stay with its object for reuse),
-        // otherwise remove the fresh region entirely.
-        if (from_cache) {
-          region->state = cache_state;
-          app.EnqueueCachedRegion(region->start);
-        } else {
-          app.RemoveRegion(region->start);
+      if (IsSystemAllocated(pi.sem)) {
+        const std::uint64_t rlen = CeilPages(len, psz) * psz;
+        if (CachesRegions(pi.sem, options_)) {
+          region = app.DequeueCachedRegion(rlen, CachedRegionState(pi.sem));
+          from_cache = region != nullptr;
         }
-        pi.region_start = 0;
-        pi.region_object.reset();
-        pi.va = 0;
+        if (from_cache) {
+          ++stats_.region_cache_hits;
+          ch.Add(OpKind::kRegionDequeue, 0);
+        } else {
+          ++stats_.region_cache_misses;
+          const Vaddr addr = app.FindFreeRange(rlen);
+          region = app.CreateRegion(addr, rlen, RegionState::kMovingIn);
+          ch.Add(OpKind::kRegionCreate, 0);
+        }
+        region->state = RegionState::kMovingIn;
+        pi.region_start = region->start;
+        pi.region_object = region->object;
+        pi.va = region->start;
+      }
+      if (ReferenceRange(app, pi.va, len, IoDirection::kInput, &pi.ref) != AccessResult::kOk) {
+        if (region != nullptr) {
+          // Unwind the prepared region: back to its cache if it came from
+          // one (any pages it already holds stay with its object for reuse),
+          // otherwise remove the fresh region entirely.
+          if (from_cache) {
+            region->state = CachedRegionState(pi.sem);
+            app.EnqueueCachedRegion(region->start);
+          } else {
+            app.RemoveRegion(region->start);
+          }
+          pi.region_start = 0;
+          pi.region_object.reset();
+          pi.va = 0;
+        }
         return IoStatus::kIoError;
       }
       ch.Add(OpKind::kReference, len);
-      if (pi.sem == Semantics::kWeakMove || !options_.enable_input_disabled_pageout) {
+      if (Wires(pi.sem, options_)) {
         WireRefFrames(pi);
         ch.Add(OpKind::kWire, len);
       }
@@ -1138,12 +1006,16 @@ bool Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
       FreeSysBuffer(pm, pi.sysbuf);  // Frames beyond the region's, if any.
       break;
     }
-    case Semantics::kEmulatedMove: {
+    case Semantics::kEmulatedMove:
+    case Semantics::kEmulatedWeakMove: {
       Region* region = CheckOrRemapRegion(pi, ch);
       Unreference(app.vm(), pi.ref);
       MapRegionPages(app, *region);  // Reinstate page accesses.
       region->state = RegionState::kMovedIn;
-      ch.Add(OpKind::kRegionCheckUnrefReinstateMarkIn, n);
+      // One combined op; hidden (strong) regions also pay the reinstate.
+      ch.Add(IsStrongIntegrity(pi.sem) ? OpKind::kRegionCheckUnrefReinstateMarkIn
+                                       : OpKind::kRegionCheckUnrefMarkIn,
+             n);
       result.addr = region->start;
       break;
     }
@@ -1157,15 +1029,6 @@ bool Endpoint::DisposeInputTable3(PendingInput& pi, std::uint64_t n, Charges& ch
       MapRegionPages(app, *region);
       region->state = RegionState::kMovedIn;
       ch.Add(OpKind::kRegionMarkIn, 0);
-      result.addr = region->start;
-      break;
-    }
-    case Semantics::kEmulatedWeakMove: {
-      Region* region = CheckOrRemapRegion(pi, ch);
-      Unreference(app.vm(), pi.ref);
-      MapRegionPages(app, *region);
-      region->state = RegionState::kMovedIn;
-      ch.Add(OpKind::kRegionCheckUnrefMarkIn, n);
       result.addr = region->start;
       break;
     }
@@ -1363,12 +1226,11 @@ void Endpoint::UnwindInputResources(PendingInput& pi, Charges& ch) {
     Unreference(app.vm(), pi.ref);
     ch.Add(OpKind::kUnreference, 0);
   }
-  if (pi.system_allocated && pi.sem != Semantics::kMove) {
+  if (pi.region_object != nullptr) {
     // Return the prepared region to its cache; the application never saw it.
     if (Region* region = app.RegionAt(pi.region_start);
         region != nullptr && region->object == pi.region_object) {
-      region->state = pi.sem == Semantics::kEmulatedMove ? RegionState::kMovedOut
-                                                         : RegionState::kWeaklyMovedOut;
+      region->state = CachedRegionState(pi.sem);
       app.EnqueueCachedRegion(region->start);
     }
   }

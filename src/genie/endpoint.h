@@ -8,6 +8,12 @@
 // (with the Section 6.2.3 emulated-copy special case) and Table 4 for pooled
 // devices. Short outputs are transparently converted to copy semantics under
 // the Section 6 thresholds.
+//
+// Each step follows from the taxonomy's dimensions (semantics.h), not from a
+// semantics by name: strong integrity is kept by TCOW (application-allocated)
+// or invalidation (system-allocated), the basic semantics wire what they pass
+// in place, the system-allocated ones move regions out and back in, and an
+// emulated semantics falls back to the basic one it optimizes.
 #ifndef GENIE_SRC_GENIE_ENDPOINT_H_
 #define GENIE_SRC_GENIE_ENDPOINT_H_
 
@@ -67,8 +73,11 @@ class Endpoint {
   // self-contained coroutines. Each entry produces exactly one Completion
   // (tagged with the caller's user_data) in the completion ring, harvested
   // non-blocking with Harvest() or awaited with WaitCompletions(). Flow ids,
-  // trace spans, watchdogs, and semantics fallback thread through the
-  // batched path exactly as through Output()/Input().
+  // trace spans, watchdogs, semantics fallback and the crashed-node refusal
+  // thread through the batched path exactly as through Output()/Input()
+  // (a refused entry completes with kPeerCrashed). An input's semantics says
+  // who allocates its buffer: a system-allocated one ignores `va` and
+  // completes with the moved-in region's address, as InputSystemAllocated().
   struct SubmitEntry {
     enum class Op : std::uint8_t { kOutput, kInput };
     Op op = Op::kOutput;
@@ -77,7 +86,6 @@ class Endpoint {
     std::uint64_t len = 0;
     Semantics sem = Semantics::kCopy;
     std::uint32_t tag = 0;   // outputs: sender-managed destination (0 = posted)
-    bool system_allocated = false;  // inputs: system chooses the location
     std::uint64_t user_data = 0;    // opaque; echoed in the Completion
   };
 
@@ -248,21 +256,18 @@ class Endpoint {
     Vaddr va = 0;
     std::uint64_t len = 0;
     std::uint32_t tag = 0;  // sender-managed destination (0 = receiver-posted)
+    // A system-allocated request gives its region up even when fallback
+    // demotes it to copy: the dispose settles the region either way.
     Semantics requested = Semantics::kCopy;
     Semantics effective = Semantics::kCopy;
     IoReference ref;
-    SysBuffer sysbuf;
-    bool has_sysbuf = false;
+    SysBuffer sysbuf;  // copy
     IoVec wire;
     std::uint32_t header = 0;       // transport checksum (ChecksumMode != kNone)
     bool has_fused_header = false;  // checksum already computed during copyin
     std::uint16_t fused_header = 0;
-    bool extra_wired = false;  // ablation: emulated semantics wired
+    bool wired = false;        // ref's pages wired at prepare
     Vaddr region_start = 0;    // system-allocated
-    // Semantics fallback demoted a move-family output to copy: the moved-in
-    // region must still be deallocated at dispose (the move contract — the
-    // application has relinquished the buffer).
-    bool deallocate_region = false;
     std::string xfer;          // trace key: "out#<id>[<semantics>]"
     std::uint64_t flow = 0;    // causal flow id stamping this transfer's events
     SimTime started_at = 0;
@@ -283,14 +288,13 @@ class Endpoint {
     std::uint64_t len = 0;
     Semantics sem = Semantics::kCopy;
     InputBuffering mode = InputBuffering::kEarlyDemux;
-    bool system_allocated = false;
     SysBuffer sysbuf;
     bool has_sysbuf = false;
     IoReference ref;
     bool wired = false;
     std::vector<FrameId> wired_frames;  // survives Unreference() for unwiring
     Vaddr region_start = 0;
-    std::shared_ptr<MemoryObject> region_object;
+    std::shared_ptr<MemoryObject> region_object;  // set while a prepared region is held
     IoVec target;  // DMA target (posted buffer or outboard destination)
     // Displaced frames whose retirement to the device pool must wait until
     // their I/O references and wiring drop (see DisposeAligned).
@@ -315,8 +319,7 @@ class Endpoint {
     bool dispose_started = false;
   };
 
-  Task<InputResult> InputCommon(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem,
-                                bool system_allocated);
+  Task<InputResult> InputCommon(AddressSpace& app, Vaddr va, std::uint64_t len, Semantics sem);
 
   // Transport checksum verification (Section 9 extension) over the first
   // `n` bytes of `frame`, read where the device left them: the posted
@@ -345,7 +348,7 @@ class Endpoint {
   IoStatus PrepareInput(PendingInput& pi, Charges& ch);
   // Prepare wrapped in the semantics degradation loop: on a recoverable
   // prepare failure with options.enable_semantics_fallback, walks the chain
-  // emulated -> basic -> copy (resetting the half-prepared state between
+  // emulated -> basic -> floor (resetting the half-prepared state between
   // attempts) until an attempt sticks or the chain bottoms out.
   IoStatus PrepareOutputWithFallback(OutputState& st, Charges& ch);
   IoStatus PrepareInputWithFallback(PendingInput& pi, Charges& ch);
@@ -381,7 +384,9 @@ class Endpoint {
   // caller detaches TransmitAndDispose; on failure everything was unwound.
   Task<IoStatus> RunOutputPrepare(std::shared_ptr<OutputState> st);
   // Builds the OutputState for [va, va+len) (copy-conversion thresholds,
-  // effective semantics, flow id) — the pre-CPU half of OutputTagged.
+  // effective semantics, flow id) — the half of OutputTagged and Drain
+  // before the prepare. Null when the node is crashed: the output is
+  // refused and counted failed.
   std::shared_ptr<OutputState> MakeOutputState(AddressSpace& app, Vaddr va, std::uint64_t len,
                                                Semantics sem, std::uint32_t tag);
   // Ring input wrapper: runs the normal input path, then posts a Completion.

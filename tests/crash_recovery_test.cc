@@ -185,6 +185,53 @@ TEST(CrashRecoveryTest, CrashedNodesFailFastAndFirstContactPerformsEpochDiscover
   rig.ExpectQuiescent();
 }
 
+// Output() and the ring refuse an output on a crashed node alike: nothing is
+// prepared or sent, the output counts as failed, and a ring entry completes
+// with kPeerCrashed. ARQ is off, so no reliable-layer fence could stop a
+// frame that got out.
+TEST(CrashRecoveryTest, RingOutputsOnCrashedNodeFailFastLikeOutput) {
+  Rig rig;
+  rig.tx_app.CreateRegion(kSrc, 16 * kPage, RegionState::kUnmovable);
+  rig.rx_app.CreateRegion(kDst, 16 * kPage);
+  GENIE_CHECK(rig.tx_app.Write(kSrc, TestPattern(kPage, 8)) == AccessResult::kOk);
+  InputResult posted;
+  auto post_input = [](Endpoint& ep, AddressSpace& app, InputResult* out) -> Task<void> {
+    *out = co_await ep.Input(app, kDst, kPage, Semantics::kCopy);
+  };
+  std::move(post_input(rig.rx_ep, rig.rx_app, &posted)).Detach();
+  rig.engine.Run();
+  rig.sender.Crash();
+
+  std::move(rig.tx_ep.Output(rig.tx_app, kSrc, kPage, Semantics::kCopy)).Detach();
+  Endpoint::SubmitEntry entry;
+  entry.op = Endpoint::SubmitEntry::Op::kOutput;
+  entry.app = &rig.tx_app;
+  entry.va = kSrc;
+  entry.len = kPage;
+  entry.sem = Semantics::kCopy;
+  entry.user_data = 4;
+  ASSERT_TRUE(rig.tx_ep.Submit(entry));
+  auto drain = [](Endpoint& ep) -> Task<void> { co_await ep.Drain(); };
+  std::move(drain(rig.tx_ep)).Detach();
+  rig.engine.Run();
+  EXPECT_EQ(rig.sender.adapter().frames_sent(), 0u);
+  EXPECT_EQ(rig.tx_ep.stats().failed_outputs, 2u);
+  std::vector<Endpoint::Completion> done;
+  ASSERT_EQ(rig.tx_ep.Harvest(&done), 1u);
+  EXPECT_EQ(done[0].user_data, 4u);
+  EXPECT_EQ(done[0].status, IoStatus::kPeerCrashed);
+  EXPECT_EQ(done[0].bytes, 0u);
+  EXPECT_TRUE(rig.rx_ep.HasPreparedInput());  // Nothing reached the peer.
+
+  // Restarted, the sender's next output fills the still-posted input.
+  rig.sender.Restart();
+  std::move(rig.tx_ep.Output(rig.tx_app, kSrc, kPage, Semantics::kCopy)).Detach();
+  rig.engine.Run();
+  ASSERT_TRUE(posted.ok);
+  EXPECT_EQ(rig.ReadBack(kDst, kPage), TestPattern(kPage, 8));
+  rig.ExpectQuiescent();
+}
+
 TEST(CrashRecoveryTest, OutputsAddressedToDeadIncarnationFailEvenBeforeWindowAdmitsThem) {
   auto post_input = [](Endpoint& ep, AddressSpace& app, InputResult* out) -> Task<void> {
     *out = co_await ep.Input(app, kDst, kPage, Semantics::kEmulatedCopy);

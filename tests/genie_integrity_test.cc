@@ -4,6 +4,7 @@
 // either. Also: failed (CRC-error) inputs and mid-I/O buffer access.
 #include <gtest/gtest.h>
 
+#include "src/vm/invariants.h"
 #include "tests/genie_test_util.h"
 
 namespace genie {
@@ -250,6 +251,53 @@ TEST(MaliciousAppTest, RemoveOutputBufferRegionMidTransfer) {
   // All sender frames were released once the output unreferenced them.
   EXPECT_EQ(rig.sender.vm().pm().allocated_frames(), 0u);
 }
+
+// A move-family output whose moving-out source region the application
+// removes mid-transfer: the device still reads the original bytes, and the
+// dispose charges its region step whether or not the region survived. Basic
+// move charges the removal; the other three a second mark-out (the first is
+// the prepare's).
+class MaliciousAppTest : public ::testing::TestWithParam<Semantics> {};
+
+TEST_P(MaliciousAppTest, RemoveMovingOutRegionMidOutput) {
+  const Semantics sem = GetParam();
+  IntegrityRig rig;
+  rig.tx_app.FindRegion(kSrc)->state = RegionState::kMovedIn;
+  const auto payload = TestPattern(kLen, 0x53);
+  ASSERT_EQ(rig.tx_app.Write(kSrc, payload), AccessResult::kOk);
+  bool removed = false;
+  rig.engine.ScheduleAt(MidTransfer(), [&] {
+    const Region* region = rig.tx_app.RegionAt(kSrc);
+    removed = region != nullptr && region->state == RegionState::kMovingOut;
+    rig.tx_app.RemoveRegion(kSrc);
+  });
+  const InputResult result = rig.Transfer(kSrc, kDst, kLen, sem);
+  ASSERT_TRUE(removed);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(rig.ReadBack(result.addr, kLen), payload);
+  const bool basic_move = sem == Semantics::kMove;
+  EXPECT_EQ(rig.tx_ep.op_count(OpKind::kRegionRemove), basic_move ? 1u : 0u);
+  EXPECT_EQ(rig.tx_ep.op_count(OpKind::kRegionMarkOut), basic_move ? 1u : 2u);
+  EXPECT_EQ(rig.sender.vm().pm().zombie_frames(), 0u);
+  for (auto [node, app] : {std::pair{&rig.sender, &rig.tx_app}, {&rig.receiver, &rig.rx_app}}) {
+    const InvariantReport report =
+        VmInvariants::CheckAll(node->vm(), *app, /*expect_quiescent=*/true);
+    EXPECT_TRUE(report.ok()) << node->name() << ": " << report.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MoveFamily, MaliciousAppTest,
+                         ::testing::Values(Semantics::kMove, Semantics::kEmulatedMove,
+                                           Semantics::kWeakMove, Semantics::kEmulatedWeakMove),
+                         [](const ::testing::TestParamInfo<Semantics>& param_info) {
+                           std::string name(SemanticsName(param_info.param));
+                           for (char& c : name) {
+                             if (c == ' ') {
+                               c = '_';
+                             }
+                           }
+                           return name;
+                         });
 
 TEST(MaliciousAppTest, RemoveInputRegionMidTransferGetsRemapped) {
   IntegrityRig rig;

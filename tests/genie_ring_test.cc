@@ -2,12 +2,15 @@
 // Submit()/SubmitBatch(), drained through the kernel in one pass, completions
 // (user_data, IoStatus) harvested from the completion ring. Covers depth
 // enforcement, mixed batches, prepare-failure completions, WaitCompletions
-// blocking, and the ring + windowed-ARQ pipeline working together.
+// blocking, the ring + windowed-ARQ pipeline working together, and
+// system-allocated ring inputs (their semantics, not a flag, makes them so).
 #include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/mem/fault_plan.h"
+#include "src/util/units.h"
 #include "tests/genie_test_util.h"
 
 namespace genie {
@@ -248,6 +251,80 @@ TEST(RingTest, WindowedArqPipelinesRingBatch) {
   EXPECT_EQ(rig.sender.reliable().stats().sequenced_frames, 8u);
   EXPECT_GE(rig.sender.reliable().stats().acks, 8u);
   EXPECT_EQ(rig.sender.reliable().stats().retransmits, 0u);
+  rig.ExpectQuiescent();
+}
+
+// An aborted ring input of a system-allocated semantics gives its prepared
+// region back to the cache, as one posted through InputSystemAllocated does:
+// the region neither stays moving-in forever nor leaks.
+void ExpectAbortedRingInputReturnsItsRegion(bool watchdog) {
+  Rig rig;
+  if (watchdog) {
+    ReliableOptions opts;
+    opts.watchdog_timeout = 1 * kMillisecond;
+    rig.receiver.EnableReliableDelivery(opts);
+  }
+  constexpr std::uint64_t kLen = 2 * kPage;
+  SubmitEntry entry = InputEntry(rig.rx_app, /*va=*/0, kLen, 9);
+  entry.sem = Semantics::kEmulatedMove;  // System-allocated: no flag says so.
+  ASSERT_TRUE(rig.rx_ep.Submit(entry));
+  std::size_t launched = 0;
+  std::move(DriveDrain(rig.rx_ep, &launched)).Detach();
+  rig.engine.Run();  // No frame comes; only the watchdog ends the wait.
+  if (!watchdog) {
+    ASSERT_TRUE(rig.rx_ep.HasPreparedInput());
+    rig.receiver.Crash();
+    rig.engine.Run();
+  }
+  std::vector<Completion> done;
+  ASSERT_EQ(rig.rx_ep.Harvest(&done), 1u);
+  EXPECT_EQ(done[0].user_data, 9u);
+  EXPECT_EQ(done[0].status, watchdog ? IoStatus::kCancelled : IoStatus::kPeerCrashed);
+  EXPECT_NE(rig.rx_app.DequeueCachedRegion(kLen, RegionState::kMovedOut), nullptr);
+  rig.ExpectQuiescent();
+}
+
+TEST(RingTest, CrashAbortedSystemAllocatedInputReturnsItsRegion) {
+  ExpectAbortedRingInputReturnsItsRegion(/*watchdog=*/false);
+}
+
+TEST(RingTest, WatchdogCancelledSystemAllocatedInputReturnsItsRegion) {
+  ExpectAbortedRingInputReturnsItsRegion(/*watchdog=*/true);
+}
+
+// A ring emulated-move input whose prepare fails (its region's page-in
+// cannot allocate a frame) falls back to basic move, the system-allocated
+// floor, and still delivers.
+TEST(RingTest, SystemAllocatedInputFallsBackToMove) {
+  GenieOptions options;
+  options.enable_semantics_fallback = true;
+  Rig rig(InputBuffering::kEarlyDemux, options);
+  constexpr std::uint64_t kLen = 2 * kPage;
+  const Vaddr src = rig.tx_ep.AllocateIoBuffer(rig.tx_app, kLen);
+  const auto payload = TestPattern(kLen, 33);
+  ASSERT_EQ(rig.tx_app.Write(src, payload), AccessResult::kOk);
+  FaultPlan plan(1);
+  FaultRule rule;
+  rule.site = FaultSite::kFrameAllocate;
+  rule.probability = 1.0;
+  rule.max_fires = 1;
+  plan.AddRule(rule);
+  rig.receiver.AttachFaultPlan(&plan);
+  SubmitEntry entry = InputEntry(rig.rx_app, /*va=*/0, kLen, 5);
+  entry.sem = Semantics::kEmulatedMove;
+  ASSERT_TRUE(rig.rx_ep.Submit(entry));
+  std::size_t launched = 0;
+  std::move(DriveDrain(rig.rx_ep, &launched)).Detach();
+  std::move(rig.tx_ep.Output(rig.tx_app, src, kLen, Semantics::kEmulatedMove)).Detach();
+  rig.engine.Run();
+  rig.receiver.AttachFaultPlan(nullptr);
+  EXPECT_EQ(plan.injected(FaultSite::kFrameAllocate), 1u);
+  EXPECT_EQ(rig.rx_ep.stats().semantics_fallbacks, 1u);
+  std::vector<Completion> done;
+  ASSERT_EQ(rig.rx_ep.Harvest(&done), 1u);
+  ASSERT_EQ(done[0].status, IoStatus::kOk);
+  EXPECT_EQ(done[0].bytes, kLen);
+  EXPECT_EQ(rig.ReadBack(done[0].addr, kLen), payload);
   rig.ExpectQuiescent();
 }
 

@@ -11,16 +11,22 @@
 
 namespace genie {
 
+// FNV-1a over 64-bit words (offset basis 1469598103934665603, prime
+// 1099511628211), shared by the soak goldens and the charge golden.
+inline constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+constexpr std::uint64_t FnvFold(std::uint64_t fold, std::uint64_t word) {
+  return (fold ^ word) * 1099511628211ull;
+}
+
 // Runs `run(seed, window)` for the 20 seeds from `first_seed` and folds each
-// outcome's `digest` and `events` (FNV-1a offset basis 1469598103934665603,
-// prime 1099511628211).
+// outcome's `digest` and `events`.
 template <typename RunFn>
 std::uint64_t FoldSoakSchedules(std::uint64_t first_seed, std::uint32_t window, RunFn run) {
-  std::uint64_t fold = 1469598103934665603ull;
+  std::uint64_t fold = kFnvOffsetBasis;
   for (std::uint64_t seed = first_seed; seed < first_seed + 20; ++seed) {
     const auto out = run(seed, window);
     for (const std::uint64_t word : {out.digest, out.events}) {
-      fold = (fold ^ word) * 1099511628211ull;
+      fold = FnvFold(fold, word);
     }
   }
   return fold;
